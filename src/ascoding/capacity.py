@@ -31,6 +31,7 @@ from .core import (
 )
 from .costs import DEFAULT_BUDGET, CostFunction, KMeansCost, PairwiseCost, erm_search
 from .datagen import dissimilarity_from_vectors
+from .errors import BudgetError
 from .rng import derive_seed
 from .thermo import (
     GibbsConfig,
@@ -149,13 +150,10 @@ class _ExactEngine:
     def __init__(self, cost1, cost2, corr, budget):
         self.table1 = ex.enumerate_costs(cost1, budget=budget)
         self.table2 = ex.enumerate_costs(cost2, budget=budget)
-        self.joint = ex.joint_cost_table(self.table1, cost2, corr, budget=budget)
+        self.joint = ex.joint_cost_table(self.table1, self.table2, corr)
         self.joint_min = float(self.joint.min())
         self.n, self.k = cost1.n, cost1.k
         self.minimizer = Assignment(self.table1.minimizer_labels(), cost1.k)
-
-    def log_z(self, table, beta: float) -> float:
-        return ex.exact_log_partition(table, beta)
 
     def log_dz(self, beta: float) -> float:
         if beta == 0.0:
@@ -166,12 +164,31 @@ class _ExactEngine:
         return ex.exact_mean_cost(self.table1, beta) - self.table1.r_min
 
     def point(self, beta: float, log_ns: float) -> CapacityPoint:
-        lz1 = self.log_z(self.table1, beta)
-        lz2 = self.log_z(self.table2, beta)
+        lz1, mean1 = ex.exact_log_partition_and_mean(self.table1, beta)
+        lz2 = ex.exact_log_partition(self.table2, beta)
         ldz = self.log_dz(beta)
         info = (log_ns + ldz - lz1 - lz2) / self.n
-        return CapacityPoint(beta=float(beta), gamma=self.gamma(beta), log_nsigma=log_ns,
-                             log_z1=lz1, log_z2=lz2, log_dz=ldz, info=info, n=self.n)
+        return CapacityPoint(beta=float(beta), gamma=mean1 - self.table1.r_min,
+                             log_nsigma=log_ns, log_z1=lz1, log_z2=lz2, log_dz=ldz,
+                             info=info, n=self.n)
+
+    def beta_for_gamma(self, target: float, iterations: int) -> float:
+        """Smallest bracketed beta whose mean-cost excess is <= target: a
+        doubling bracket, then at most `iterations` bisection steps. Once the
+        midpoint rounds onto an end, every later step would leave both ends
+        unchanged, so stopping there returns the same float."""
+        lo, hi = 0.0, 1.0
+        while self.gamma(hi) > target:
+            hi *= 2.0
+        for _ in range(iterations):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if self.gamma(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return hi
 
     def auto_grid(self, points: int) -> tuple[float, ...]:
         """Geometric beta grid spanning mean-cost excess from ~90% down to
@@ -179,21 +196,8 @@ class _ExactEngine:
         span = self.gamma(0.0)
         if span <= 0.0:  # flat landscape
             return (0.0, *np.geomspace(0.1, 10.0, points - 1))
-
-        def solve_excess(target: float) -> float:
-            lo, hi = 0.0, 1.0
-            while self.gamma(hi) > target:
-                hi *= 2.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if self.gamma(mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
-
-        beta_lo = solve_excess(0.9 * span)
-        beta_hi = solve_excess(1e-3 * span)
+        beta_lo = self.beta_for_gamma(0.9 * span, iterations=60)
+        beta_hi = self.beta_for_gamma(1e-3 * span, iterations=60)
         return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))
 
 
@@ -280,16 +284,7 @@ def exact_point_at_gamma(
     span = eng.gamma(0.0)
     if gamma >= span or span <= 0.0:
         return eng.point(0.0, log_ns)
-    lo, hi = 0.0, 1.0
-    while eng.gamma(hi) > gamma:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if eng.gamma(mid) > gamma:
-            lo = mid
-        else:
-            hi = mid
-    return eng.point(hi, log_ns)
+    return eng.point(eng.beta_for_gamma(gamma, iterations=80), log_ns)
 
 
 def optimal_gamma(curve: CapacityCurve) -> tuple[float, float, float]:
@@ -338,7 +333,9 @@ def select_model(
 ) -> SelectionResult:
     """Rank (cost_family, k) candidates by their approximation capacity.
 
-    Failing candidates are recorded and excluded; ties keep candidate order.
+    Candidates that cannot be scored (unknown family, budget exceeded, bad
+    input for the cost) are recorded and excluded; any other exception
+    propagates. Ties keep candidate order.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -349,7 +346,7 @@ def select_model(
         try:
             curve = capacity_curve(train, test, family, k, engine=engine,
                                    cfg=cand_cfg, corr=corr)
-        except Exception as e:  # noqa: BLE001 - candidate failures must not abort the run
+        except (BudgetError, ValueError) as e:  # the candidate cannot be scored here
             failures.append((family, k, str(e)))
             continue
         g, b, i = optimal_gamma(curve)

@@ -29,7 +29,7 @@ from .core import Dataset, Kind, build_correspondence
 from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
-from .exact import GAMMA_SLACK, decode_indices, encode_labels, enumerate_costs
+from .exact import GAMMA_SLACK, decode_indices, enumerate_costs, pushforward_weights
 from .rng import derive_rng, derive_seed
 
 __all__ = [
@@ -156,12 +156,11 @@ def transmit_and_decode(
     table1 = enumerate_costs(make_cost(cost_family, train, k), budget=budget)
     sel = np.flatnonzero(table1.costs <= table1.r_min + gamma + GAMMA_SLACK)
     corr = build_correspondence(train, fresh_test)
-    pushed = decode_indices(sel, n, k)[:, corr.nu]
-
-    scores = np.empty(codebook.m, dtype=np.int64)
-    for j in range(codebook.m):
-        enc = encode_labels(pushed[:, codebook.sigmas[j]], k)
-        scores[j] = int(member_r[enc].sum())
+    # received object i is test object sigma[i], the image of training
+    # object nu[sigma[i]]: one push-forward map per codeword
+    digits = decode_indices(sel, n, k) - 1
+    weights = pushforward_weights(corr.nu[codebook.sigmas], k)
+    scores = np.array([member_r[digits @ w].sum() for w in weights], dtype=np.int64)
     decoded = int(np.argmax(scores))
     return TransmissionResult(
         sent_index=sent_index,

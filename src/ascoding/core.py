@@ -57,6 +57,8 @@ class Dataset:
         arr = np.asarray(vectors, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"vectors must be a non-empty n x d matrix, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("vectors must be finite (no NaN or inf)")
         return Dataset(kind=Kind.VECTORS, n=arr.shape[0], vectors=_frozen(arr))
 
     @staticmethod
@@ -64,6 +66,8 @@ class Dataset:
         mat = np.asarray(dissim, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError(f"dissimilarity matrix must be square, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("dissimilarity matrix must be finite (no NaN or inf)")
         if not np.array_equal(mat, mat.T):
             raise ValueError("dissimilarity matrix must be symmetric")
         if np.any(np.diagonal(mat) != 0.0):

@@ -12,7 +12,11 @@ as zero-cost, so the hypothesis class is all k^n label vectors.
 
 Each cost exposes a SiteState carrying sufficient statistics (cluster sums
 and counts) so that single-site and same-label group moves cost O(k) instead
-of a full re-evaluation; the Gibbs sampler and local search run on it.
+of a full re-evaluation; the Gibbs sampler and local search run on it. The
+same statistics are additive over disjoint object sets, so each cost also
+exposes a SplitHalf: per-cluster statistics of the two halves of the objects
+from which the exact engine assembles every assignment's cost without
+decoding it.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ __all__ = [
     "PairwiseCost",
     "JointCost",
     "SiteState",
+    "SplitHalf",
     "kmeans_evaluate",
     "pairwise_evaluate",
     "single_site_delta",
@@ -67,6 +72,20 @@ class SiteState(ABC):
     def move_group(self, members: np.ndarray, new_label: int) -> None: ...
 
 
+class SplitHalf(ABC):
+    """Per-cluster statistics of the low half (objects 0..h-1) and the high
+    half (objects h..n-1) of one cost's objects.
+
+    Built from per-half label masks: masks[v, a, i] is 1.0 when object i of
+    the half carries label v+1 in half-assignment a, and 0.0 otherwise.
+    """
+
+    @abstractmethod
+    def block(self, lo: slice, hi: slice) -> np.ndarray:
+        """Costs of every pairing of the low-half assignments `lo` with the
+        high-half assignments `hi`, shaped (hi rows, lo rows)."""
+
+
 class CostFunction(ABC):
     """A clustering cost R(c, X) bound to one dataset and cluster count."""
 
@@ -87,6 +106,11 @@ class CostFunction(ABC):
 
     @abstractmethod
     def site_state(self, labels: np.ndarray) -> SiteState: ...
+
+    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> SplitHalf:
+        """Statistics of the two halves of the objects for exact enumeration;
+        the masks cover objects 0..h-1 and h..n-1 with h = lo_masks.shape[2]."""
+        raise NotImplementedError(f"{type(self).__name__} has no split-half statistics")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +148,40 @@ class KMeansCost(CostFunction):
 
     def site_state(self, labels: np.ndarray) -> "KMeansState":
         return KMeansState(self, labels)
+
+    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "KMeansHalves":
+        return KMeansHalves(self, lo_masks, hi_masks)
+
+
+class KMeansHalves(SplitHalf):
+    """Per half and cluster: count, vector sum, squared-norm sum and the
+    squared norm of the vector sum. Joining two halves adds them; the only
+    cross-half term is the dot product of the two vector sums."""
+
+    def __init__(self, cost: KMeansCost, lo_masks: np.ndarray, hi_masks: np.ndarray):
+        h = lo_masks.shape[2]
+        self._lo = [self._stats(m, cost._x[:h], cost._sq[:h]) for m in lo_masks]
+        self._hi = [self._stats(m, cost._x[h:], cost._sq[h:]) for m in hi_masks]
+
+    @staticmethod
+    def _stats(mask, x, sq):
+        sums = mask @ x
+        return mask.sum(axis=1), sums, mask @ sq, (sums**2).sum(axis=1)
+
+    def block(self, lo: slice, hi: slice) -> np.ndarray:
+        total = 0.0
+        for (c_lo, s_lo, q_lo, n_lo), (c_hi, s_hi, q_hi, n_hi) in zip(self._lo, self._hi):
+            norm = s_hi[hi] @ s_lo[lo].T
+            norm *= 2.0
+            norm += n_hi[hi, None]
+            norm += n_lo[None, lo]
+            # an empty cluster has zero sums, so max(cnt, 1) yields its 0 cost
+            norm /= np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
+            scatter = q_hi[hi, None] + q_lo[None, lo]
+            scatter -= norm
+            # per-cluster scatter is >= 0 up to cancellation error
+            total = total + np.maximum(scatter, 0.0, out=scatter)
+        return total
 
 
 class KMeansState(SiteState):
@@ -232,6 +290,35 @@ class PairwiseCost(CostFunction):
 
     def site_state(self, labels: np.ndarray) -> "PairwiseState":
         return PairwiseState(self, labels)
+
+    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "PairwiseHalves":
+        return PairwiseHalves(self, lo_masks, hi_masks)
+
+
+class PairwiseHalves(SplitHalf):
+    """Per half and cluster: count and ordered within-half pair sum W. The
+    low half also keeps its dissimilarity sums to each high-half object, so
+    the cross-half pairs of a block are one matrix product with the high
+    half's masks: W = W_lo + W_hi + 2 (mask_lo @ D[lo, hi]) @ mask_hi.T."""
+
+    def __init__(self, cost: PairwiseCost, lo_masks: np.ndarray, hi_masks: np.ndarray):
+        h = lo_masks.shape[2]
+        d = cost._d
+        self._lo = [(m.sum(axis=1), ((m @ d[:h, :h]) * m).sum(axis=1), m @ d[:h, h:])
+                    for m in lo_masks]
+        self._hi = [(m.sum(axis=1), ((m @ d[h:, h:]) * m).sum(axis=1), m) for m in hi_masks]
+
+    def block(self, lo: slice, hi: slice) -> np.ndarray:
+        total = 0.0
+        for (c_lo, w_lo, cross_lo), (c_hi, w_hi, m_hi) in zip(self._lo, self._hi):
+            w = m_hi[hi] @ cross_lo[lo].T
+            w *= 2.0
+            w += w_hi[hi, None]
+            w += w_lo[None, lo]
+            # an empty cluster has W = 0, so max(cnt, 1) yields its 0 cost
+            w /= 2.0 * np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
+            total = total + w
+        return total
 
 
 class PairwiseState(SiteState):

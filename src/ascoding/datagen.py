@@ -186,6 +186,8 @@ def load_dataset_csv(path: str) -> Dataset:
             out[r - 2] = [float(p) for p in parts]
         except ValueError:
             raise ParseError(f"non-numeric field in {line!r}", r) from None
+        if not np.isfinite(out[r - 2]).all():
+            raise ParseError(f"non-finite field in {line!r}", r)
     return Dataset.from_dissimilarities(out) if dissim else Dataset.from_vectors(out)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ascoding.capacity import (
+    _ExactEngine,
     CapacityConfig,
     CapacityCurve,
     CapacityPoint,
@@ -215,6 +216,23 @@ class TestExactPointAtGamma:
         pt = exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=1e9)
         assert pt.beta == 0.0
 
+    @pytest.mark.parametrize("fraction, iterations", [(0.9, 60), (1e-3, 60), (0.3, 80)])
+    def test_bisection_stop_returns_the_full_run_result(self, pair_n8, fraction, iterations):
+        x1, x2 = pair_n8
+        eng = _ExactEngine(KMeansCost(x1, 2), KMeansCost(x2, 2),
+                           build_correspondence(x1, x2), CapacityConfig().budget)
+        target = fraction * eng.gamma(0.0)
+        lo, hi = 0.0, 1.0
+        while eng.gamma(hi) > target:
+            hi *= 2.0
+        for _ in range(iterations):  # every pass, no early stop
+            mid = 0.5 * (lo + hi)
+            if eng.gamma(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        assert eng.beta_for_gamma(target, iterations) == hi
+
 
 class TestSelectModel:
     def test_single_candidate(self, pair_n8):
@@ -244,6 +262,13 @@ class TestSelectModel:
                            cfg=CapacityConfig(beta_grid=(0.0, 0.3)))
         assert len(res.ranking) == 1 and len(res.failures) == 1
         assert res.failures[0][0] == "linkage"
+
+    def test_programming_errors_propagate(self, pair_n8):
+        # a non-integer k is a caller's bug, not a candidate that failed
+        x1, x2 = pair_n8
+        with pytest.raises(TypeError):
+            select_model([("kmeans", 2), ("kmeans", "3")], x1, x2, engine="exact",
+                         cfg=CapacityConfig(beta_grid=(0.0, 0.3)))
 
     def test_empty_candidates_rejected(self, pair_n8):
         x1, x2 = pair_n8

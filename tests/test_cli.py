@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ascoding
 from ascoding.cli import ENV_OUTPUT_DIR, main
 from ascoding.datagen import load_dataset_csv, load_labels_csv
 from ascoding.thermo import read_columns_csv
@@ -167,6 +172,28 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
 
+def test_exact_outputs_independent_of_blas_threads(tmp_path):
+    """Rerunning at another OpenBLAS thread count writes the same bytes. At
+    n=14 a BLAS dot over the 2^14-row table already changed the last digits
+    between one and two threads."""
+    data = tmp_path / "data"
+    assert run("gen", "--n", 14, "--k-true", 2, "--sep", 4, "--sigma", 1, "--balanced",
+               "--seed", 0, "--out", data) == 0
+    src = str(Path(ascoding.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "ascoding.cli", "capacity",
+                        "--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                        "--cost", "kmeans", "--k", "2", "--engine", "exact", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({name: (out / name).read_bytes() for name in ("capacity.csv", "summary.json")})
+    assert outputs[0] == outputs[1]
+
+
 class TestErrorPaths:
     def test_parse_error_exit_4(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -174,6 +201,16 @@ class TestErrorPaths:
         rc = run("capacity", "--train", bad, "--test", bad, "--k", 2,
                  "--out", tmp_path / "x")
         assert rc == 4
+
+    def test_non_finite_input_exit_4(self, dataset_dir, tmp_path):
+        bad = tmp_path / "nan.csv"
+        lines = (dataset_dir / "train.csv").read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",", 1)[1]
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run("capacity", "--train", bad, "--test", dataset_dir / "test.csv", "--k", 2,
+                 "--engine", "exact", "--out", tmp_path / "x")
+        assert rc == 4
+        assert not (tmp_path / "x" / "summary.json").exists()
 
     def test_budget_error_exit_3(self, dataset_dir, tmp_path):
         rc = run("capacity", "--train", dataset_dir / "train.csv",

@@ -35,6 +35,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="nonnegative"):
             Dataset.from_dissimilarities([[0.0, -1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            vecs([0.0, 1.0], [bad, 3.0])
+        # a NaN is not equal to itself, so without the finiteness check it
+        # would be reported as an asymmetry
+        with pytest.raises(ValueError, match="finite"):
+            Dataset.from_dissimilarities([[0.0, bad], [bad, 0.0]])
+
     def test_immutable(self):
         d = vecs([0.0], [1.0])
         with pytest.raises(ValueError):

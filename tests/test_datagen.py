@@ -157,6 +157,14 @@ class TestCsvRoundTrips:
             load_dataset_csv(bad)
         assert e.value.line == 3
 
+    @pytest.mark.parametrize("text", ["3,2\n0.5,1\n1,nan\n2,2\n", "3,dissim\n0,1,1\n1,0,inf\n1,inf,0\n"])
+    def test_non_finite_field_carries_line_number(self, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ParseError, match="non-finite") as e:
+            load_dataset_csv(bad)
+        assert e.value.line == 3
+
     def test_row_count_mismatch(self, tmp_path):
         bad = tmp_path / "short.csv"
         bad.write_text("3,1\n0.5\n")

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ascoding.core import Correspondence, Dataset, build_correspondence
-from ascoding.costs import KMeansCost
-from ascoding.datagen import MixtureSpec, draw_paired_samples
+from ascoding.costs import KMeansCost, PairwiseCost
+from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
 from ascoding.exact import (
+    GAMMA_SLACK,
     CostTable,
     approx_set_size,
     decode_indices,
@@ -17,6 +19,7 @@ from ascoding.exact import (
     exact_log_partition,
     exact_mean_cost,
     exact_set_intersection,
+    joint_cost_table,
     load_table,
     save_table,
 )
@@ -241,3 +244,126 @@ class TestTableDump:
         assert np.array_equal(loaded.costs, three_point_table.costs)
         assert loaded.r_min == three_point_table.r_min
         assert loaded.argmin_index == three_point_table.argmin_index
+
+
+# ---------------------------------------------------------------------------
+# split-half tables against the decode-and-evaluate reference
+# ---------------------------------------------------------------------------
+
+def reference_table(cost):
+    """Every label vector decoded and scored by evaluate_batch."""
+    labels = decode_indices(np.arange(cost.k**cost.n), cost.n, cost.k)
+    return CostTable.from_costs(cost.evaluate_batch(labels), cost.n, cost.k, cost.name)
+
+
+def reference_pushed(indices, nu, n, k):
+    return encode_labels(decode_indices(indices, n, k)[:, nu], k)
+
+
+def reference_joint(table1, table2, nu):
+    idx = np.arange(table1.costs.size)
+    return table1.costs + table2.costs[reference_pushed(idx, nu, table1.n, table1.k)]
+
+
+def reference_intersection(table1, table2, nu, gamma):
+    sel = np.flatnonzero(table1.costs <= table1.r_min + gamma + GAMMA_SLACK)
+    pushed = reference_pushed(sel, nu, table1.n, table1.k)
+    return int((table2.costs[pushed] <= table2.r_min + gamma + GAMMA_SLACK).sum())
+
+
+@st.composite
+def instances(draw):
+    """(cost1, cost2, nu, integral, scale) for n = 1..9 and k = 1..4, with k^n
+    small enough for the reference. Integral data make every cost exact in
+    both paths, so ties (duplicate points, relabelings) are exact too."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    assume(k**n <= 20_000)
+    integral = draw(st.booleans())
+    family = draw(st.sampled_from(["kmeans", "pairwise"]))
+    if integral:
+        value = st.integers(-3, 3).map(float)
+    else:
+        value = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+    def sample():
+        if family == "kmeans":
+            d = draw(st.integers(1, 3))
+            x = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                       min_size=n, max_size=n)))
+            return KMeansCost(Dataset.from_vectors(x), k), float((x**2).sum())
+        upper = np.triu(np.abs(np.array(draw(st.lists(
+            st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n)))), 1)
+        dis = upper + upper.T
+        return PairwiseCost(Dataset.from_dissimilarities(dis), k), float(dis.sum())
+
+    (cost1, s1), (cost2, s2) = sample(), sample()
+    nu = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    return cost1, cost2, nu, integral, 1.0 + s1 + s2
+
+
+class TestSplitHalfAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=instances())
+    def test_tables_match_reference(self, inst):
+        cost1, cost2, nu, integral, scale = inst
+        for cost in (cost1, cost2):
+            new, ref = enumerate_costs(cost), reference_table(cost)
+            assert np.abs(new.costs - ref.costs).max() <= 1e-12 * scale
+            if integral:
+                # exact arithmetic: same ties, so the same lowest-index argmin
+                assert np.array_equal(new.costs, ref.costs)
+                assert new.argmin_index == ref.argmin_index
+                for gap in np.unique(ref.costs - ref.r_min):
+                    assert approx_set_size(new, gap) == approx_set_size(ref, gap)
+            else:
+                assert ref.costs[new.argmin_index] <= ref.r_min + 2e-12 * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(inst=instances())
+    def test_joint_and_intersection_match_decoded_pushforward(self, inst):
+        cost1, cost2, nu, _, _ = inst
+        t1, t2 = enumerate_costs(cost1), enumerate_costs(cost2)
+        corr = Correspondence(nu=nu, n=cost1.n)
+        assert np.array_equal(joint_cost_table(t1, t2, corr), reference_joint(t1, t2, nu))
+        # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
+        gaps = np.unique(np.concatenate([t1.costs - t1.r_min, t2.costs - t2.r_min]))
+        for gamma in (*gaps[:6], *gaps[-2:]):
+            assert exact_set_intersection(t1, t2, corr, gamma) == \
+                reference_intersection(t1, t2, nu, gamma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inst=instances())
+    def test_dump_roundtrip(self, inst, tmp_path_factory):
+        table = enumerate_costs(inst[0])
+        path = tmp_path_factory.mktemp("dump") / "table.bin"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert (loaded.n, loaded.k, loaded.tag) == (table.n, table.k, table.tag)
+        assert np.array_equal(loaded.costs, table.costs)
+        assert (loaded.r_min, loaded.argmin_index) == (table.r_min, table.argmin_index)
+
+    def test_k_above_n_and_single_object(self):
+        for n, k in ((1, 1), (1, 3), (2, 4), (3, 4)):
+            x = vecs(*[[float(i)] for i in range(n)])
+            cost = KMeansCost(x, k)
+            assert np.array_equal(enumerate_costs(cost).costs, reference_table(cost).costs)
+
+    def test_blocks_tile_large_halves(self, monkeypatch):
+        # halves wider than one block exercise the tiling along both axes
+        import ascoding.exact as ex
+
+        monkeypatch.setattr(ex, "_BLOCK", 8)
+        x1, x2, _ = draw_paired_samples(MixtureSpec(n=9, d=2, k_true=2, noise_sigma=1.0,
+                                                    separation=3.0, seed=5))
+        for cost in (KMeansCost(x1, 3), PairwiseCost(dissimilarity_from_vectors(x1), 2)):
+            assert np.abs(enumerate_costs(cost).costs - reference_table(cost).costs).max() < 1e-9
+        t1, t2 = enumerate_costs(KMeansCost(x1, 2)), enumerate_costs(KMeansCost(x2, 2))
+        corr = build_correspondence(x1, x2)
+        assert np.array_equal(joint_cost_table(t1, t2, corr), reference_joint(t1, t2, corr.nu))
+        assert exact_set_intersection(t1, t2, corr, 3.0) == \
+            reference_intersection(t1, t2, corr.nu, 3.0)
+        for beta in (0.0, 0.7):
+            assert exact_mean_cost(t1, beta) == pytest.approx(
+                float((t1.costs * np.exp(-beta * t1.costs)).sum()
+                      / np.exp(-beta * t1.costs).sum()), rel=1e-12)
