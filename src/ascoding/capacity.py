@@ -15,6 +15,7 @@ precision is the grid point of maximal info.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,6 +164,11 @@ class _ExactEngine:
     def gamma(self, beta: float) -> float:
         return ex.exact_mean_cost(self.table1, beta) - self.table1.r_min
 
+    @functools.cached_property
+    def span(self) -> float:
+        """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
+        return self.gamma(0.0)
+
     def point(self, beta: float, log_ns: float) -> CapacityPoint:
         lz1, mean1 = ex.exact_log_partition_and_mean(self.table1, beta)
         lz2 = ex.exact_log_partition(self.table2, beta)
@@ -190,10 +196,18 @@ class _ExactEngine:
                 hi = mid
         return hi
 
+    def point_at_gamma(self, gamma: float, log_ns: float) -> CapacityPoint:
+        """Point whose beta is calibrated by bisection so the training
+        Boltzmann mean cost equals r_min + gamma; beta = 0 once gamma reaches
+        the span."""
+        if gamma >= self.span or self.span <= 0.0:
+            return self.point(0.0, log_ns)
+        return self.point(self.beta_for_gamma(gamma, iterations=80), log_ns)
+
     def auto_grid(self, points: int) -> tuple[float, ...]:
         """Geometric beta grid spanning mean-cost excess from ~90% down to
         ~0.1% of the full cost range."""
-        span = self.gamma(0.0)
+        span = self.span
         if span <= 0.0:  # flat landscape
             return (0.0, *np.geomspace(0.1, 10.0, points - 1))
         beta_lo = self.beta_for_gamma(0.9 * span, iterations=60)
@@ -275,16 +289,11 @@ def exact_point_at_gamma(
 ) -> CapacityPoint:
     """Exact-engine capacity point at a prescribed gamma: beta is calibrated
     by bisection so the training Boltzmann mean cost equals r_min + gamma."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    ex.check_gamma(gamma)
     cost1 = make_cost(cost_family, train, k)
     cost2 = make_cost(cost_family, test, k)
     eng = _ExactEngine(cost1, cost2, _resolve_corr(train, test, corr), cfg.budget)
-    log_ns = _log_nsigma_of(eng.minimizer, cfg.nsigma)
-    span = eng.gamma(0.0)
-    if gamma >= span or span <= 0.0:
-        return eng.point(0.0, log_ns)
-    return eng.point(eng.beta_for_gamma(gamma, iterations=80), log_ns)
+    return eng.point_at_gamma(gamma, _log_nsigma_of(eng.minimizer, cfg.nsigma))
 
 
 def optimal_gamma(curve: CapacityCurve) -> tuple[float, float, float]:

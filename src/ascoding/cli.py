@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import CapacityConfig, capacity_curve, optimal_gamma, select_model
-from .comms import error_rate, generate_codebook
+from .comms import error_rate_grid, generate_codebook
 from .costs import DEFAULT_BUDGET
 from .datagen import (
     MixtureSpec,
@@ -163,14 +163,15 @@ def cmd_simulate(args) -> int:
     if not gammas:
         raise ValueError("empty gamma grid")
 
+    codebooks = [generate_codebook(args.n, rate, args.seed, max_size=args.max_codebook)
+                 for rate in rates]
+    results = error_rate_grid(codebooks, spec, args.cost, args.k, gammas,
+                              trials=args.trials, seed=args.seed,
+                              compute_bound=not args.no_bound, budget=args.budget)
     grid_summaries = []
     trial_lines = ["m,gamma,trial,sent,decoded,correct,best_score,second_score"]
-    for rate in rates:
-        codebook = generate_codebook(args.n, rate, args.seed, max_size=args.max_codebook)
-        for gamma in gammas:
-            res = error_rate(codebook, spec, args.cost, args.k, gamma,
-                             trials=args.trials, seed=args.seed,
-                             compute_bound=not args.no_bound, budget=args.budget)
+    for rate, codebook, row in zip(rates, codebooks, results):
+        for gamma, res in zip(gammas, row):
             grid_summaries.append({
                 "m": codebook.m, "rate_bits": rate, "gamma": gamma,
                 "p_hat": res.p_hat, "interval": [res.wilson_low, res.wilson_high],

@@ -16,6 +16,12 @@ thereby cancel the permutation algebraically, collapsing all codeword scores
 to the same value; the transported correspondence makes the sent codeword's
 score equal the canonical two-sample overlap that the capacity machinery
 estimates, and wrong codewords score at chance level.
+
+A simulation over a grid of codebook sizes m and widths gamma draws each
+trial's sample pair once and shares it with every (m, gamma) cell: the
+training table, the correspondence and the bound's beta calibration are
+built once per trial (the calibration once per gamma), and the received
+table once per codebook. A cell then scores all codewords with one gather.
 """
 from __future__ import annotations
 
@@ -24,12 +30,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import CapacityConfig, exact_point_at_gamma, make_cost
-from .core import Dataset, Kind, build_correspondence
+from .capacity import _ExactEngine, _log_nsigma_of, make_cost
+from .core import Correspondence, Dataset, Kind, build_correspondence
 from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
-from .exact import GAMMA_SLACK, decode_indices, enumerate_costs, pushforward_weights
+from .exact import (
+    GAMMA_SLACK,
+    CostTable,
+    check_gamma,
+    decode_indices,
+    enumerate_costs,
+    pushforward_weights,
+)
 from .rng import derive_rng, derive_seed
 
 __all__ = [
@@ -41,12 +54,14 @@ __all__ = [
     "permute_dataset",
     "transmit_and_decode",
     "error_rate",
+    "error_rate_grid",
     "error_bound",
     "wilson_interval",
 ]
 
 DEFAULT_MAX_CODEBOOK = 4096
 _Z95 = 1.959963984540054
+_GATHER = 1 << 22  # entries of one scoring index matrix (32 MiB of int64)
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,36 @@ class TransmissionResult:
             raise ValueError("correct flag is inconsistent")
 
 
+def _members(table: CostTable, gamma: float) -> np.ndarray:
+    """Mask of the gamma-approximation set of a table, with the slack of
+    exact.approx_set_size."""
+    return table.costs <= table.r_min + gamma + GAMMA_SLACK
+
+
+def _member_digits(table: CostTable, gamma: float) -> np.ndarray:
+    """Label digits (0..k-1) of the table's gamma-approximation set, one row
+    per member in encoding order."""
+    return decode_indices(np.flatnonzero(_members(table, gamma)), table.n, table.k) - 1
+
+
+def _codeword_weights(codebook: Codebook, corr: Correspondence, k: int) -> np.ndarray:
+    """Push-forward weights per codeword: received object i is test object
+    sigma[i], the image of training object nu[sigma[i]]."""
+    return pushforward_weights(corr.nu[codebook.sigmas], k)
+
+
+def _overlap_scores(member_r: np.ndarray, digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """For every codeword, how many training members (digit rows) land in
+    the received sample's approximation set when pushed forward with the
+    codeword's weights. Codewords are scored in groups whose index matrix
+    has at most _GATHER entries; at desk sizes that is one gather."""
+    step = max(1, _GATHER // max(1, len(digits)))
+    return np.concatenate([
+        member_r[digits @ weights[i : i + step].T].sum(axis=0)
+        for i in range(0, len(weights), step)
+    ])
+
+
 def transmit_and_decode(
     codebook: Codebook,
     sent_index: int,
@@ -143,24 +188,17 @@ def transmit_and_decode(
     (ties to the lowest codeword index)."""
     if not (0 <= sent_index < codebook.m):
         raise ValueError("sent_index out of range")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    check_gamma(gamma)
     n = train.n
     if codebook.n != n or fresh_test.n != n:
         raise ValueError("codebook and samples must share n")
 
     received = permute_dataset(fresh_test, codebook.sigmas[sent_index])
     table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
-    member_r = table_r.costs <= table_r.r_min + gamma + GAMMA_SLACK
-
     table1 = enumerate_costs(make_cost(cost_family, train, k), budget=budget)
-    sel = np.flatnonzero(table1.costs <= table1.r_min + gamma + GAMMA_SLACK)
     corr = build_correspondence(train, fresh_test)
-    # received object i is test object sigma[i], the image of training
-    # object nu[sigma[i]]: one push-forward map per codeword
-    digits = decode_indices(sel, n, k) - 1
-    weights = pushforward_weights(corr.nu[codebook.sigmas], k)
-    scores = np.array([member_r[digits @ w].sum() for w in weights], dtype=np.int64)
+    scores = _overlap_scores(_members(table_r, gamma), _member_digits(table1, gamma),
+                             _codeword_weights(codebook, corr, k))
     decoded = int(np.argmax(scores))
     return TransmissionResult(
         sent_index=sent_index,
@@ -214,6 +252,88 @@ class ErrorRateResult:
         return 0.5 * (self.wilson_high - self.wilson_low)
 
 
+def _trial_row(trial: int, sent: int, scores: np.ndarray) -> TrialRow:
+    decoded = int(np.argmax(scores))
+    top = np.sort(scores)[::-1]
+    return TrialRow(
+        trial=trial, sent=sent, decoded=decoded, correct=decoded == sent,
+        best_score=int(top[0]), second_score=int(top[1]) if top.size > 1 else 0,
+    )
+
+
+def _error_rate_result(rows: list[TrialRow], bounds: list[float]) -> ErrorRateResult:
+    """Summary of one cell; its bound is the mean of the per-trial bounds,
+    None without any."""
+    errors = sum(0 if r.correct else 1 for r in rows)
+    lo, hi = wilson_interval(errors, len(rows))
+    return ErrorRateResult(
+        p_hat=errors / len(rows), wilson_low=lo, wilson_high=hi,
+        trials=len(rows), errors=errors,
+        bound=float(np.mean(bounds)) if bounds else None,
+        rows=tuple(rows),
+    )
+
+
+def error_rate_grid(
+    codebooks: list[Codebook],
+    spec: MixtureSpec,
+    cost_family: str,
+    k: int,
+    gammas: list[float],
+    trials: int,
+    seed: int,
+    compute_bound: bool = False,
+    budget: int = DEFAULT_BUDGET,
+) -> list[list[ErrorRateResult]]:
+    """Empirical error frequencies over a (codebook, gamma) grid, indexed
+    [codebook][gamma].
+
+    Trial t draws one paired sample from the generator and serves every
+    cell; each codebook picks its uniform message for trial t, and that
+    message's received table serves every gamma. With compute_bound=True
+    the analytic bound is evaluated per trial at each gamma on the trial's
+    own sample pair (one beta calibration per trial and gamma, shared by all
+    codebooks) and averaged: the bound holds in expectation over the data
+    draw.
+    """
+    for gamma in gammas:
+        check_gamma(gamma)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if any(cb.n != spec.n for cb in codebooks):
+        raise ValueError("codebooks and the generator must share n")
+    rows = [[[] for _ in gammas] for _ in codebooks]
+    infos: list[list[float]] = []  # per trial, per gamma
+    for t in range(trials):
+        x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
+        cost1 = make_cost(cost_family, x1, k)
+        corr = build_correspondence(x1, x2)
+        if compute_bound:
+            eng = _ExactEngine(cost1, make_cost(cost_family, x2, k), corr, budget)
+            log_ns = _log_nsigma_of(eng.minimizer, "multinomial")
+            infos.append([eng.point_at_gamma(g, log_ns).info for g in gammas])
+            table1 = eng.table1
+        else:
+            table1 = enumerate_costs(cost1, budget=budget)
+        digits = [_member_digits(table1, g) for g in gammas]
+        for cb, cb_rows in zip(codebooks, rows):
+            sent = int(derive_rng(seed, t, 1).integers(cb.m))
+            received = permute_dataset(x2, cb.sigmas[sent])
+            table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
+            weights = _codeword_weights(cb, corr, k)
+            for gamma, d, cell in zip(gammas, digits, cb_rows):
+                scores = _overlap_scores(_members(table_r, gamma), d, weights)
+                cell.append(_trial_row(t, sent, scores))
+    return [
+        [
+            _error_rate_result(cell, [error_bound(info[j], cb.rate_bits, spec.n)
+                                      for info in infos])
+            for j, cell in enumerate(cb_rows)
+        ]
+        for cb, cb_rows in zip(codebooks, rows)
+    ]
+
+
 def error_rate(
     codebook: Codebook,
     spec: MixtureSpec,
@@ -225,45 +345,7 @@ def error_rate(
     compute_bound: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> ErrorRateResult:
-    """Empirical error frequency over independently generated channel uses.
-
-    Each trial draws a fresh paired sample from the generator, picks a
-    uniform message, and decodes. With compute_bound=True the analytic bound
-    is evaluated per trial at this gamma on the trial's own sample pair and
-    averaged (the bound holds in expectation over the data draw).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rows: list[TrialRow] = []
-    errors = 0
-    bounds: list[float] = []
-    for t in range(trials):
-        trial_spec = replace(spec, seed=derive_seed(seed, t, 0))
-        x1, x2, _ = draw_paired_samples(trial_spec)
-        sent = int(derive_rng(seed, t, 1).integers(codebook.m))
-        res = transmit_and_decode(codebook, sent, x1, x2, cost_family, k, gamma, budget)
-        errors += 0 if res.correct else 1
-        top = np.sort(res.overlap_scores)[::-1]
-        rows.append(TrialRow(
-            trial=t, sent=sent, decoded=res.decoded_index, correct=res.correct,
-            best_score=int(top[0]), second_score=int(top[1]) if codebook.m > 1 else 0,
-        ))
-        if compute_bound:
-            pt = exact_point_at_gamma(
-                x1, x2, cost_family, k, gamma, cfg=CapacityConfig(budget=budget)
-            )
-            bounds.append(error_bound(pt.info, codebook.rate_bits, spec.n))
-    lo, hi = wilson_interval(errors, trials)
-    return ErrorRateResult(
-        p_hat=errors / trials, wilson_low=lo, wilson_high=hi,
-        trials=trials, errors=errors,
-        bound=float(np.mean(bounds)) if bounds else None,
-        rows=tuple(rows),
-    )
-
-
-def write_trials_csv(rows: tuple[TrialRow, ...], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("trial,sent,decoded,correct,best_score,second_score\n")
-        for r in rows:
-            fh.write(f"{r.trial},{r.sent},{r.decoded},{int(r.correct)},{r.best_score},{r.second_score}\n")
+    """Empirical error frequency over independently generated channel uses:
+    the one-cell grid of error_rate_grid."""
+    return error_rate_grid([codebook], spec, cost_family, k, [gamma], trials, seed,
+                           compute_bound=compute_bound, budget=budget)[0][0]

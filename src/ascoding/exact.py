@@ -148,11 +148,17 @@ def _split_pushforward(corr: Correspondence, n: int, k: int) -> tuple[np.ndarray
     return lo_digits @ w[:h], hi_digits @ w[h:]
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a negative or NaN approximation width; +inf admits every
+    assignment."""
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma!r}")
+
+
 def approx_set_size(table: CostTable, gamma: float) -> int:
     """|{c : R(c) <= r_min + gamma}| with a small absolute slack on the
     threshold so boundary members are not lost to summation noise."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    check_gamma(gamma)
     return int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
 
 
@@ -250,8 +256,7 @@ def exact_set_intersection(
 ) -> int:
     """#{c in C_gamma(X1) : pushforward(c) in C_gamma(X2)}, counted over
     training assignments (pushforward collisions are not collapsed)."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    check_gamma(gamma)
     if table2.n != table1.n or table2.k != table1.k:
         raise ValueError("tables must share n and k")
     thresh1 = table1.r_min + gamma + GAMMA_SLACK

@@ -12,7 +12,7 @@ import pytest
 
 from ascoding.capacity import CapacityConfig, capacity_curve, select_model
 from ascoding.cli import main as cli_main
-from ascoding.comms import error_rate, generate_codebook
+from ascoding.comms import error_rate, error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
@@ -153,11 +153,12 @@ def test_criterion_5_error_bound_consistency():
                        seed=1, balanced=True)
     gammas = (0.0, 2.0, 5.0, 10.0, 20.0)
     checked = violations = 0
-    for m in (2, 4, 8):
-        codebook = generate_codebook(8, math.log2(m) / 8, seed=1)
-        for gamma in gammas:
-            res = error_rate(codebook, spec, "kmeans", 2, gamma, trials=500,
-                             seed=7, compute_bound=True)
+    sizes = (2, 4, 8)
+    codebooks = [generate_codebook(8, math.log2(m) / 8, seed=1) for m in sizes]
+    grid = error_rate_grid(codebooks, spec, "kmeans", 2, gammas, trials=500,
+                           seed=7, compute_bound=True)
+    for m, row in zip(sizes, grid):
+        for gamma, res in zip(gammas, row):
             if res.bound < 1.0:
                 checked += 1
                 if res.p_hat > res.bound + res.wilson_halfwidth:

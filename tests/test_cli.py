@@ -48,6 +48,16 @@ class TestGen:
         run(*gen_args(out))
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
+    @pytest.mark.parametrize("gammas", ["nan,1", "1,-1"])
+    def test_bad_gamma_exit_2(self, tmp_path, gammas):
+        out = tmp_path / "sim"
+        rc = run("simulate", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 1.0,
+                 "--balanced", "--cost", "kmeans", "--k", 2, "--gammas", gammas,
+                 "--codebook-sizes", "2", "--trials", 3, "--seed", 1, "--out", out)
+        assert rc == 2
+        assert not (out / "summary.json").exists()
+        assert not (out / "trials.csv").exists()
+
     def test_independent_mode_writes_second_labels(self, tmp_path):
         assert run(*gen_args(tmp_path / "g"), "--independent") == 0
         assert (tmp_path / "g" / "labels2.csv").exists()

@@ -1,24 +1,27 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ascoding.capacity import make_cost
+from ascoding import comms
+from ascoding.capacity import exact_point_at_gamma, make_cost
 from ascoding.comms import (
+    TrialRow,
     error_bound,
     error_rate,
+    error_rate_grid,
     generate_codebook,
     permute_dataset,
     transmit_and_decode,
     wilson_interval,
-    write_trials_csv,
 )
 from ascoding.core import Dataset, build_correspondence
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
 from ascoding.exact import enumerate_costs, exact_set_intersection
-from ascoding.rng import derive_rng
+from ascoding.rng import derive_rng, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -232,13 +235,94 @@ class TestErrorRate:
         b = error_rate(cb, spec, "kmeans", 2, gamma=0.5, trials=30, seed=5)
         assert a.rows == b.rows and a.p_hat == b.p_hat
 
-    def test_trials_csv(self, tmp_path):
+
+def per_cell_reference(codebooks, spec, family, k, gammas, trials, seed, compute_bound):
+    """The per-cell composition the grid replaces: every (codebook, gamma)
+    cell redraws each trial's pair, decodes it with transmit_and_decode and
+    calibrates its own bound with exact_point_at_gamma. One
+    (rows, errors, wilson_low, wilson_high, bound) tuple per cell."""
+    out = []
+    for cb in codebooks:
+        row = []
+        for gamma in gammas:
+            rows, bounds, errors = [], [], 0
+            for t in range(trials):
+                x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
+                sent = int(derive_rng(seed, t, 1).integers(cb.m))
+                res = transmit_and_decode(cb, sent, x1, x2, family, k, gamma)
+                errors += 0 if res.correct else 1
+                top = np.sort(res.overlap_scores)[::-1]
+                rows.append(TrialRow(
+                    trial=t, sent=sent, decoded=res.decoded_index, correct=res.correct,
+                    best_score=int(top[0]), second_score=int(top[1]) if cb.m > 1 else 0,
+                ))
+                if compute_bound:
+                    pt = exact_point_at_gamma(x1, x2, family, k, gamma)
+                    bounds.append(error_bound(pt.info, cb.rate_bits, spec.n))
+            lo, hi = wilson_interval(errors, trials)
+            row.append((tuple(rows), errors, lo, hi,
+                        float(np.mean(bounds)) if bounds else None))
+        out.append(row)
+    return out
+
+
+class TestErrorRateGrid:
+    @pytest.mark.parametrize(
+        "family, k, n, sigma, sizes, gammas, compute_bound, gather",
+        [
+            # m=1 codebook; gamma=inf is past every cost span (the beta=0 branch)
+            ("kmeans", 2, 6, 1.0, (1, 2, 4), (0.0, 0.5, 2.0, math.inf), True, None),
+            ("kmeans", 2, 6, 1.0, (1, 2, 4), (0.0, 0.5, 2.0, math.inf), False, None),
+            # zero noise: duplicate points, so costs tie at gamma=0
+            ("kmeans", 2, 6, 0.0, (2, 8), (0.0, 1e6), True, None),
+            ("pairwise", 3, 6, 1.0, (2, 3), (0.25, 3.0, 1e6), True, None),
+            # codewords scored in several small gathers
+            ("kmeans", 2, 6, 1.0, (8,), (0.0, 2.0), False, 5),
+        ],
+    )
+    def test_matches_per_cell_reference(self, monkeypatch, family, k, n, sigma, sizes,
+                                        gammas, compute_bound, gather):
+        if gather is not None:
+            monkeypatch.setattr(comms, "_GATHER", gather)
+        spec = MixtureSpec(n=n, d=2, k_true=2, noise_sigma=sigma, separation=6.0,
+                           seed=3, balanced=True)
+        codebooks = [generate_codebook(n, math.log2(m) / n, seed=2) for m in sizes]
+        grid = error_rate_grid(codebooks, spec, family, k, gammas, trials=6, seed=4,
+                               compute_bound=compute_bound)
+        ref = per_cell_reference(codebooks, spec, family, k, gammas, 6, 4, compute_bound)
+        got = [[(r.rows, r.errors, r.wilson_low, r.wilson_high, r.bound) for r in row]
+               for row in grid]
+        assert got == ref
+        assert all(r.trials == 6 and r.p_hat == r.errors / 6 for row in grid for r in row)
+
+    def test_budget_overflow_raises(self):
         spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
-                           seed=2, balanced=True)
-        cb = generate_codebook(6, rate_bits=1 / 3, seed=4)
-        res = error_rate(cb, spec, "kmeans", 2, gamma=0.5, trials=10, seed=5)
-        path = tmp_path / "trials.csv"
-        write_trials_csv(res.rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial,sent,decoded,correct,best_score,second_score"
-        assert len(lines) == 11
+                           seed=3, balanced=True)
+        cb = generate_codebook(6, rate_bits=1 / 6, seed=0)
+        for compute_bound in (False, True):
+            with pytest.raises(BudgetError):
+                error_rate_grid([cb], spec, "kmeans", 2, [0.0], trials=3, seed=0,
+                                compute_bound=compute_bound, budget=32)
+
+    @pytest.mark.parametrize("gammas, trials", [
+        ([math.nan, 1.0], 3), ([1.0, math.nan], 3), ([0.0, -0.5], 3), ([0.0], 0),
+    ])
+    def test_bad_grid_rejected_before_any_draw(self, monkeypatch, gammas, trials):
+        def no_draw(spec):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(comms, "draw_paired_samples", no_draw)
+        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=3, balanced=True)
+        cb = generate_codebook(6, rate_bits=1 / 6, seed=0)
+        with pytest.raises(ValueError):
+            error_rate_grid([cb], spec, "kmeans", 2, gammas, trials=trials, seed=0,
+                            compute_bound=True)
+
+    def test_nan_gamma_rejected_per_use(self, blob_pair):
+        x1, x2 = blob_pair
+        cb = generate_codebook(8, rate_bits=1 / 8, seed=0)
+        with pytest.raises(ValueError, match="gamma"):
+            transmit_and_decode(cb, 0, x1, x2, "kmeans", 2, gamma=math.nan)
+        with pytest.raises(ValueError, match="gamma"):
+            exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=math.nan)
