@@ -7,71 +7,25 @@ and validates the implied error bound with a simulated communication
 protocol over permutation codebooks.
 """
 
-from .core import (
-    Assignment,
-    Correspondence,
-    CorrespondenceRequiredError,
-    Dataset,
-    Kind,
-    TypeDistribution,
-    build_correspondence,
-    log_type_class_size,
-    pushforward,
-    type_distribution,
-    type_entropy,
-)
-from .capacity import (
-    CapacityConfig,
-    CapacityCurve,
-    CapacityPoint,
-    capacity_curve,
-    make_cost,
-    optimal_gamma,
-    select_model,
-)
-from .comms import (
-    Codebook,
-    TransmissionResult,
-    error_bound,
-    error_rate,
-    generate_codebook,
-    permute_dataset,
-    transmit_and_decode,
-)
-from .costs import (
-    CostFunction,
-    JointCost,
-    KMeansCost,
-    PairwiseCost,
-    erm_search,
-    kmeans_evaluate,
-    pairwise_evaluate,
-    single_site_delta,
-)
-from .datagen import (
-    MixtureSpec,
-    dissimilarity_from_vectors,
-    draw_independent_samples,
-    draw_paired_samples,
-)
+from .capacity import CapacityConfig, capacity_curve, optimal_gamma, select_model
+from .comms import error_rate_grid, generate_codebook
+from .core import Dataset
+from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError, ParseError
-from .exact import (
-    CostTable,
-    approx_set_size,
-    enumerate_costs,
-    exact_joint_log_partition,
-    exact_log_partition,
-    exact_mean_cost,
-    exact_set_intersection,
-)
-from .thermo import (
-    FreeEnergyCurve,
-    GibbsConfig,
-    estimate_mean_cost,
-    gibbs_sweep,
-    joint_thermo_integrate,
-    solve_beta_for_gamma,
-    thermo_integrate_logZ,
-)
+
+__all__ = [
+    "BudgetError",
+    "CapacityConfig",
+    "Dataset",
+    "MixtureSpec",
+    "ParseError",
+    "__version__",
+    "capacity_curve",
+    "draw_paired_samples",
+    "error_rate_grid",
+    "generate_codebook",
+    "optimal_gamma",
+    "select_model",
+]
 
 __version__ = "0.1.0"

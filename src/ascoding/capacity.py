@@ -31,7 +31,7 @@ from .core import (
     type_distribution,
 )
 from .costs import DEFAULT_BUDGET, CostFunction, KMeansCost, PairwiseCost, erm_search
-from .datagen import dissimilarity_from_vectors
+from .datagen import dissimilarity_from_vectors, write_csv_rows
 from .errors import BudgetError
 from .rng import derive_seed
 from .thermo import (
@@ -99,11 +99,9 @@ class CapacityCurve:
         return self.best.info * self.n
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("beta,gamma,logZ1,logZ2,logDZ,log_nsigma,info\n")
-            for p in self.points:
-                row = (p.beta, p.gamma, p.log_z1, p.log_z2, p.log_dz, p.log_nsigma, p.info)
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv_rows(path, "beta,gamma,logZ1,logZ2,logDZ,log_nsigma,info",
+                       ((p.beta, p.gamma, p.log_z1, p.log_z2, p.log_dz, p.log_nsigma, p.info)
+                        for p in self.points))
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,8 @@ class CapacityConfig:
     def __post_init__(self):
         if self.nsigma not in ("multinomial", "asymptotic"):
             raise ValueError("nsigma must be 'multinomial' or 'asymptotic'")
+        if self.beta_grid is not None and not all(0.0 <= b < np.inf for b in self.beta_grid):
+            raise ValueError(f"beta_grid must be finite and >= 0, got {self.beta_grid!r}")
 
 
 def make_cost(cost_family: str, data: Dataset, k: int) -> CostFunction:
@@ -183,14 +183,21 @@ class _ExactEngine:
         doubling bracket, then at most `iterations` bisection steps. Once the
         midpoint rounds onto an end, every later step would leave both ends
         unchanged, so stopping there returns the same float."""
-        lo, hi = 0.0, 1.0
-        while self.gamma(hi) > target:
-            hi *= 2.0
+        with np.errstate(over="ignore"):  # an overflowing weight exponent gives exp(-inf) = 0
+            # The mean over exactly tied minima can round above r_min at every
+            # finite beta; then the target takes approx_set_size's GAMMA_SLACK.
+            for goal in (target, target + ex.GAMMA_SLACK):
+                hi = 1.0
+                while hi < np.inf and self.gamma(hi) > goal:
+                    hi *= 2.0
+                if hi < np.inf:
+                    break
+        lo = 0.0
         for _ in range(iterations):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if self.gamma(mid) > target:
+            if self.gamma(mid) > goal:
                 lo = mid
             else:
                 hi = mid
@@ -253,7 +260,7 @@ def capacity_curve(
         return CapacityCurve(points=points, engine="exact", cost_name=cost_family,
                              n=train.n, k=k)
 
-    minimizer, r_min = erm_search(cost1, "multistart", restarts=cfg.restarts, seed=cfg.seed)
+    minimizer, r_min = erm_search(cost1, restarts=cfg.restarts, seed=cfg.seed)
     log_ns = _log_nsigma_of(minimizer, cfg.nsigma)
     grid = cfg.beta_grid or default_beta_grid(cost1, points=cfg.grid_points, seed=cfg.seed)
 

@@ -29,6 +29,7 @@ from .datagen import (
     load_dataset_csv,
     save_dataset_csv,
     save_labels_csv,
+    write_csv_rows,
 )
 from .errors import BudgetError, ParseError
 
@@ -169,7 +170,7 @@ def cmd_simulate(args) -> int:
                               trials=args.trials, seed=args.seed,
                               compute_bound=not args.no_bound, budget=args.budget)
     grid_summaries = []
-    trial_lines = ["m,gamma,trial,sent,decoded,correct,best_score,second_score"]
+    trial_rows = []
     for rate, codebook, row in zip(rates, codebooks, results):
         for gamma, res in zip(gammas, row):
             grid_summaries.append({
@@ -177,13 +178,10 @@ def cmd_simulate(args) -> int:
                 "p_hat": res.p_hat, "interval": [res.wilson_low, res.wilson_high],
                 "bound": res.bound, "trials": res.trials, "errors": res.errors,
             })
-            for r in res.rows:
-                trial_lines.append(
-                    f"{codebook.m},{gamma!r},{r.trial},{r.sent},{r.decoded},"
-                    f"{int(r.correct)},{r.best_score},{r.second_score}"
-                )
-    with open(out / "trials.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(trial_lines) + "\n")
+            trial_rows += [(codebook.m, gamma, r.trial, r.sent, r.decoded, int(r.correct),
+                            r.best_score, r.second_score) for r in res.rows]
+    write_csv_rows(out / "trials.csv",
+                   "m,gamma,trial,sent,decoded,correct,best_score,second_score", trial_rows)
     _write_json(
         {"n": args.n, "k": args.k, "cost": args.cost, "seed": args.seed,
          "grid": grid_summaries},

@@ -53,7 +53,6 @@ __all__ = [
     "generate_codebook",
     "permute_dataset",
     "transmit_and_decode",
-    "error_rate",
     "error_rate_grid",
     "error_bound",
     "wilson_interval",
@@ -332,20 +331,3 @@ def error_rate_grid(
         ]
         for cb, cb_rows in zip(codebooks, rows)
     ]
-
-
-def error_rate(
-    codebook: Codebook,
-    spec: MixtureSpec,
-    cost_family: str,
-    k: int,
-    gamma: float,
-    trials: int,
-    seed: int,
-    compute_bound: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> ErrorRateResult:
-    """Empirical error frequency over independently generated channel uses:
-    the one-cell grid of error_rate_grid."""
-    return error_rate_grid([codebook], spec, cost_family, k, [gamma], trials, seed,
-                           compute_bound=compute_bound, budget=budget)[0][0]

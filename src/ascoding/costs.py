@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .core import Assignment, Correspondence, Dataset, Kind
-from .errors import BudgetError
 from .rng import derive_rng
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "JointCost",
     "SiteState",
     "SplitHalf",
-    "kmeans_evaluate",
-    "pairwise_evaluate",
-    "single_site_delta",
     "erm_search",
 ]
 
@@ -99,10 +95,6 @@ class CostFunction(ABC):
 
     @abstractmethod
     def evaluate(self, labels: np.ndarray) -> float: ...
-
-    def evaluate_batch(self, labels: np.ndarray) -> np.ndarray:
-        """Costs for an m x n matrix of label vectors."""
-        return np.array([self.evaluate(row) for row in labels])
 
     @abstractmethod
     def site_state(self, labels: np.ndarray) -> SiteState: ...
@@ -419,9 +411,6 @@ class JointCost(CostFunction):
         labels = np.asarray(labels)
         return self.cost1.evaluate(labels) + self.cost2.evaluate(labels[self.nu])
 
-    def evaluate_batch(self, labels: np.ndarray) -> np.ndarray:
-        return self.cost1.evaluate_batch(labels) + self.cost2.evaluate_batch(labels[:, self.nu])
-
     def site_state(self, labels: np.ndarray) -> "JointState":
         return JointState(self, labels)
 
@@ -463,97 +452,30 @@ class JointState(SiteState):
 
 
 # ---------------------------------------------------------------------------
-# operation-level wrappers and the minimizer search
+# the minimizer search
 # ---------------------------------------------------------------------------
 
-def kmeans_evaluate(c: Assignment, data: Dataset) -> float:
-    return KMeansCost(data, c.k).evaluate(c.labels)
-
-
-def pairwise_evaluate(c: Assignment, data: Dataset) -> float:
-    return PairwiseCost(data, c.k).evaluate(c.labels)
-
-
-def single_site_delta(cost: CostFunction, c: Assignment, i: int, new_label: int) -> float:
-    """Cost change of relabeling site i, matching the difference of two full
-    evaluations to floating-point accuracy."""
-    if not (0 <= i < cost.n):
-        raise ValueError(f"site index {i} out of range")
-    if not (1 <= new_label <= cost.k):
-        raise ValueError(f"label {new_label} out of range 1..{cost.k}")
-    return float(cost.site_state(c.labels).deltas(i)[new_label - 1])
-
-
-def _decode_block(indices: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Mixed-radix decode, object 0 as the least significant digit."""
-    radix = k ** np.arange(n, dtype=np.int64)
-    return (indices[:, None] // radix[None, :]) % k + 1
-
-
-def erm_search(
-    cost: CostFunction,
-    mode: str = "exhaustive",
-    budget: int = DEFAULT_BUDGET,
-    restarts: int = 50,
-    seed: int = 0,
-    block: int = 1 << 15,
-) -> tuple[Assignment, float]:
-    """Empirical risk minimization over all k^n assignments.
-
-    mode="exhaustive" scans the full hypothesis class (k^n must fit the
-    budget) and returns the global minimizer, lexicographically smallest
-    label vector among exact ties. mode="multistart" runs `restarts` greedy
-    single-site descents from uniform random starts and returns the best
-    local optimum found.
-    """
+def erm_search(cost: CostFunction, restarts: int = 50, seed: int = 0) -> tuple[Assignment, float]:
+    """Approximate empirical risk minimization: `restarts` greedy single-site
+    descents from uniform random starts; returns the best local optimum
+    found. The exact engine's table argmin is the global minimizer."""
     n, k = cost.n, cost.k
-    if mode == "exhaustive":
-        size = k**n
-        if size > budget:
-            raise BudgetError(
-                f"k^n = {size} exceeds budget {budget}; use mode='multistart'"
-            )
-        revradix = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        best_cost = np.inf
-        best_key = None
-        best_labels = None
-        for start in range(0, size, block):
-            idx = np.arange(start, min(start + block, size), dtype=np.int64)
-            labels = _decode_block(idx, n, k)
-            costs = cost.evaluate_batch(labels)
-            bmin = costs.min()
-            if bmin > best_cost:
-                continue
-            if bmin < best_cost:
-                best_cost = bmin
-                best_key = None
-            ties = labels[costs == best_cost]
-            keys = (ties - 1) @ revradix
-            j = int(np.argmin(keys))
-            if best_key is None or keys[j] < best_key:
-                best_key = int(keys[j])
-                best_labels = ties[j]
-        return Assignment(labels=best_labels, k=k), float(best_cost)
-
-    if mode == "multistart":
-        best_cost = np.inf
-        best_labels = None
-        for r in range(restarts):
-            rng = derive_rng(seed, r)
-            state = cost.site_state(rng.integers(1, k + 1, size=n))
-            improved = True
-            while improved:
-                improved = False
-                for i in range(n):
-                    d = state.deltas(i)
-                    b = int(np.argmin(d))
-                    if d[b] < 0.0:
-                        state.move(i, b + 1)
-                        improved = True
-            final = cost.evaluate(state.labels)
-            if final < best_cost:
-                best_cost = final
-                best_labels = state.labels.copy()
-        return Assignment(labels=best_labels, k=k), float(best_cost)
-
-    raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'multistart'")
+    best_cost = np.inf
+    best_labels = None
+    for r in range(restarts):
+        rng = derive_rng(seed, r)
+        state = cost.site_state(rng.integers(1, k + 1, size=n))
+        improved = True
+        while improved:
+            improved = False
+            for i in range(n):
+                d = state.deltas(i)
+                b = int(np.argmin(d))
+                if d[b] < 0.0:
+                    state.move(i, b + 1)
+                    improved = True
+        final = cost.evaluate(state.labels)
+        if final < best_cost:
+            best_cost = final
+            best_labels = state.labels.copy()
+    return Assignment(labels=best_labels, k=k), float(best_cost)

@@ -22,6 +22,7 @@ __all__ = [
     "draw_paired_samples",
     "draw_independent_samples",
     "dissimilarity_from_vectors",
+    "write_csv_rows",
     "save_dataset_csv",
     "load_dataset_csv",
     "save_labels_csv",
@@ -145,17 +146,24 @@ def dissimilarity_from_vectors(data: Dataset) -> Dataset:
 # CSV round-trips
 # ---------------------------------------------------------------------------
 
+def write_csv_rows(path: str, header: str, rows) -> None:
+    """The package's one CSV format: a header line, then one comma-joined
+    line per row, every line ending in a bare newline. Integers are written
+    as digits, every other value as the repr of a Python float, which reads
+    back to the same float."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v))
+                              for v in row) + "\n")
+
+
 def save_dataset_csv(data: Dataset, path: str) -> None:
     """Header line `n,d` (vectors) or `n,dissim`, then one row per object."""
-    with open(path, "w", newline="\n") as fh:
-        if data.kind is Kind.VECTORS:
-            fh.write(f"{data.n},{data.d}\n")
-            rows = data.vectors
-        else:
-            fh.write(f"{data.n},dissim\n")
-            rows = data.dissim
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    if data.kind is Kind.VECTORS:
+        write_csv_rows(path, f"{data.n},{data.d}", data.vectors)
+    else:
+        write_csv_rows(path, f"{data.n},dissim", data.dissim)
 
 
 def load_dataset_csv(path: str) -> Dataset:
@@ -192,10 +200,7 @@ def load_dataset_csv(path: str) -> Dataset:
 
 
 def save_labels_csv(labels: Assignment, path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{labels.n},labels,{labels.k}\n")
-        for v in labels.labels:
-            fh.write(f"{int(v)}\n")
+    write_csv_rows(path, f"{labels.n},labels,{labels.k}", labels.labels[:, None])
 
 
 def load_labels_csv(path: str) -> Assignment:

@@ -2,9 +2,8 @@
 partition functions, two-sample intersections, and Boltzmann averages.
 
 Assignments are encoded as mixed-radix integers with object 0 as the least
-significant digit (labels 1..k map to digits 0..k-1), so a serialized table
-is portable across runs. The engine serves as the trusted oracle for the
-sampling machinery.
+significant digit (labels 1..k map to digits 0..k-1). The engine serves as
+the trusted oracle for the sampling machinery.
 
 Tables are built by halves (meet in the middle). With h = n // 2, index
 lo + k^h * hi pairs the assignment `lo` of objects 0..h-1 with the
@@ -21,7 +20,6 @@ so results do not depend on the BLAS thread count.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,6 @@ __all__ = [
     "CostTable",
     "GAMMA_SLACK",
     "decode_indices",
-    "encode_labels",
     "enumerate_costs",
     "pushforward_weights",
     "approx_set_size",
@@ -45,26 +42,16 @@ __all__ = [
     "joint_cost_table",
     "exact_joint_log_partition",
     "exact_set_intersection",
-    "save_table",
-    "load_table",
 ]
 
 GAMMA_SLACK = 1e-12  # absolute float slack on the approximation threshold
 _BLOCK = 1 << 15
-_MAGIC = b"ASCT\x01"
 
 
 def decode_indices(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     """Indices -> m x n label matrix (labels 1..k)."""
     radix = k ** np.arange(n, dtype=np.int64)
     return (np.asarray(indices, dtype=np.int64)[:, None] // radix[None, :]) % k + 1
-
-
-def encode_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    """m x n label matrix -> indices."""
-    labels = np.asarray(labels, dtype=np.int64)
-    radix = k ** np.arange(labels.shape[-1], dtype=np.int64)
-    return (labels - 1) @ radix
 
 
 @dataclass(frozen=True)
@@ -74,19 +61,17 @@ class CostTable:
     costs: np.ndarray
     n: int
     k: int
-    tag: str
     r_min: float
     argmin_index: int
 
     @staticmethod
-    def from_costs(costs: np.ndarray, n: int, k: int, tag: str) -> "CostTable":
+    def from_costs(costs: np.ndarray, n: int, k: int) -> "CostTable":
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         if costs.size != k**n:
             raise ValueError(f"table length {costs.size} != k^n = {k**n}")
         costs.flags.writeable = False
         arg = int(np.argmin(costs))  # lowest index among exact ties
-        return CostTable(costs=costs, n=n, k=k, tag=tag,
-                         r_min=float(costs[arg]), argmin_index=arg)
+        return CostTable(costs=costs, n=n, k=k, r_min=float(costs[arg]), argmin_index=arg)
 
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
@@ -125,7 +110,7 @@ def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET) -> CostTab
     out = np.empty((hi_masks.shape[1], lo_masks.shape[1]))
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = halves.block(lo, hi)
-    return CostTable.from_costs(out.ravel(), cost.n, cost.k, cost.name)
+    return CostTable.from_costs(out.ravel(), cost.n, cost.k)
 
 
 def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
@@ -269,23 +254,3 @@ def exact_set_intersection(
         if sel.any():
             count += int(member2[(p_hi[hi, None] + p_lo[None, lo])[sel]].sum())
     return count
-
-
-def save_table(table: CostTable, path: str) -> None:
-    """Binary dump: magic, n, k, tag, then little-endian float64 costs."""
-    tag = table.tag.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIH", table.n, table.k, len(tag)))
-        fh.write(tag)
-        fh.write(table.costs.astype("<f8").tobytes())
-
-
-def load_table(path: str) -> CostTable:
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a cost-table dump")
-        n, k, taglen = struct.unpack("<IIH", fh.read(10))
-        tag = fh.read(taglen).decode("utf-8")
-        costs = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    return CostTable.from_costs(costs, n, k, tag)

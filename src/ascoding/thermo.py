@@ -1,6 +1,5 @@
 """Monte-Carlo estimation of log-partition functions and Boltzmann mean
-costs, and the calibration between approximation width gamma and inverse
-temperature beta.
+costs.
 
 log Z(beta) is recovered by thermodynamic integration of the identity
 d log Z / d beta = -<R>_beta over a beta grid starting at 0, where
@@ -17,21 +16,17 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import isotonic_regression
 
-from .core import Assignment, Correspondence
+from .core import Correspondence
 from .costs import CostFunction, JointCost, SiteState
 from .rng import derive_rng
 
 __all__ = [
     "GibbsConfig",
     "FreeEnergyCurve",
-    "BetaSolution",
-    "gibbs_sweep",
     "estimate_mean_cost",
     "thermo_integrate_logZ",
     "joint_thermo_integrate",
-    "solve_beta_for_gamma",
     "default_beta_grid",
-    "read_columns_csv",
 ]
 
 
@@ -81,8 +76,8 @@ class FreeEnergyCurve:
             raise ValueError("curve must start at beta=0")
 
     def smoothed_mean_cost(self) -> np.ndarray:
-        """Nonincreasing (isotonic) fit of the mean-cost estimates; guards
-        downstream monotone solves against Monte-Carlo noise."""
+        """Nonincreasing (isotonic) fit of the mean-cost estimates; keeps the
+        gamma read off the curve monotone in beta despite Monte-Carlo noise."""
         return isotonic_regression(self.mean_cost, increasing=False).x
 
     def monotonicity_violations(self, z: float = 2.0) -> int:
@@ -91,29 +86,6 @@ class FreeEnergyCurve:
         rise = np.diff(self.mean_cost)
         tol = z * np.sqrt(self.stderr[:-1] ** 2 + self.stderr[1:] ** 2)
         return int((rise > tol).sum())
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("beta,logZ,mean_cost,stderr\n")
-            for row in zip(self.betas, self.log_z, self.mean_cost, self.stderr):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_columns_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse a headered numeric CSV written by this package back into
-    column arrays."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    names = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return {name: data[:, i] for i, name in enumerate(names)}
-
-
-@dataclass(frozen=True)
-class BetaSolution:
-    beta: float
-    clamped: bool = False    # gamma fell outside [0, mean_cost(0) - r_min]
-    saturated: bool = False  # gamma below the resolution of the grid's top beta
 
 
 def _sweep(state: SiteState, beta: float, rng: np.random.Generator, n: int) -> None:
@@ -127,18 +99,6 @@ def _sweep(state: SiteState, beta: float, rng: np.random.Generator, n: int) -> N
         new = min(j, cs.size - 1) + 1
         if new != state.labels[i]:
             state.move(i, new)
-
-
-def gibbs_sweep(
-    state: Assignment, cost: CostFunction, beta: float, rng: np.random.Generator
-) -> Assignment:
-    """One full-sweep Gibbs update of an assignment; leaves the Boltzmann
-    distribution at inverse temperature beta invariant."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    ss = cost.site_state(state.labels)
-    _sweep(ss, beta, rng, cost.n)
-    return Assignment(labels=ss.labels.copy(), k=cost.k)
 
 
 def estimate_mean_cost(
@@ -200,28 +160,6 @@ def joint_thermo_integrate(
     """Same machinery applied to the combined two-sample cost
     R(c, X1) + R(pushforward(c), X2) over training assignments."""
     return thermo_integrate_logZ(JointCost(cost1, cost2, corr), cfg)
-
-
-def solve_beta_for_gamma(curve: FreeEnergyCurve, r_min: float, gamma: float) -> BetaSolution:
-    """Invert the (isotonically smoothed) mean-cost curve: find beta with
-    <R>_beta = r_min + gamma by monotone piecewise-linear interpolation.
-
-    gamma at the upper boundary maps to beta = 0; gamma outside the feasible
-    range is clamped with a flag; gamma below the grid's resolution returns
-    the top beta flagged as saturated.
-    """
-    if gamma < 0:
-        return BetaSolution(beta=float(curve.betas[-1]), clamped=True, saturated=True)
-    ms = curve.smoothed_mean_cost()
-    target = r_min + gamma
-    if target >= ms[0]:
-        return BetaSolution(beta=0.0, clamped=target > ms[0])
-    if target <= ms[-1]:
-        return BetaSolution(beta=float(curve.betas[-1]), saturated=True)
-    j = int(np.flatnonzero(ms >= target)[-1])
-    frac = (ms[j] - target) / (ms[j] - ms[j + 1])
-    beta = curve.betas[j] + frac * (curve.betas[j + 1] - curve.betas[j])
-    return BetaSolution(beta=float(beta))
 
 
 def default_beta_grid(

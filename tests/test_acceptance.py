@@ -12,7 +12,7 @@ import pytest
 
 from ascoding.capacity import CapacityConfig, capacity_curve, select_model
 from ascoding.cli import main as cli_main
-from ascoding.comms import error_rate, error_rate_grid, generate_codebook
+from ascoding.comms import error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
@@ -171,7 +171,7 @@ def test_criterion_5_error_bound_consistency():
     zero_rates = []
     for m in (2, 4, 8):
         codebook = generate_codebook(8, math.log2(m) / 8, seed=1)
-        res = error_rate(codebook, zero_spec, "kmeans", 2, 0.0, trials=500, seed=7)
+        [[res]] = error_rate_grid([codebook], zero_spec, "kmeans", 2, [0.0], trials=500, seed=7)
         zero_rates.append(res.p_hat)
     elapsed = time.time() - t0
     ok = violations == 0 and all(p == 0.0 for p in zero_rates) and elapsed < 600

@@ -15,16 +15,18 @@ from ascoding.capacity import (
     select_model,
 )
 from ascoding.core import (
+    Assignment,
     CorrespondenceRequiredError,
     Dataset,
     build_correspondence,
     type_distribution,
     type_entropy,
 )
-from ascoding.costs import KMeansCost, erm_search
+from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.thermo import read_columns_csv
+from ascoding.exact import GAMMA_SLACK, enumerate_costs
+from ascoding.rng import derive_seed
 
 
 def vecs(*rows):
@@ -65,8 +67,8 @@ class TestBetaZeroIdentity:
         x1, x2 = pair_n8
         curve = capacity_curve(x1, x2, "kmeans", 2, engine="exact",
                                cfg=CapacityConfig(nsigma="asymptotic", beta_grid=(0.0,)))
-        minimizer, _ = erm_search(KMeansCost(x1, 2), "exhaustive")
-        h = type_entropy(type_distribution(minimizer))
+        minimizer = enumerate_costs(KMeansCost(x1, 2)).minimizer_labels()
+        h = type_entropy(type_distribution(Assignment(minimizer, 2)))
         assert curve.points[0].info == pytest.approx(h - math.log(2), abs=1e-9)
 
     def test_balanced_type_gives_zero(self, pair_n8):
@@ -148,7 +150,7 @@ class TestCurveProperties:
     def test_csv_roundtrip(self, exact_curve_n8, tmp_path):
         path = tmp_path / "capacity.csv"
         exact_curve_n8.write_csv(path)
-        cols = read_columns_csv(path)
+        cols = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
         assert np.array_equal(cols["beta"], [p.beta for p in exact_curve_n8.points])
         assert np.array_equal(cols["info"], [p.info for p in exact_curve_n8.points])
 
@@ -232,6 +234,28 @@ class TestExactPointAtGamma:
             else:
                 hi = mid
         assert eng.beta_for_gamma(target, iterations) == hi
+
+    def test_gamma_zero_with_exactly_tied_minima(self):
+        # trial 4 of `simulate --n 6 ... --cost pairwise --k 3 --seed 4`: the
+        # Boltzmann mean over six exactly tied minima rounds above r_min at
+        # every finite beta, so gamma = 0 is reached only with GAMMA_SLACK
+        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=derive_seed(4, 4, 0), balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        eng = _ExactEngine(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
+                           build_correspondence(x1, x2), CapacityConfig().budget)
+        assert (eng.table1.costs == eng.table1.r_min).sum() == 6
+        assert eng.gamma(2.0**1000) > 0.0
+        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        assert math.isfinite(pt.beta) and math.isfinite(pt.info)
+        assert 0.0 < pt.gamma <= GAMMA_SLACK
+
+
+class TestCapacityConfig:
+    @pytest.mark.parametrize("grid", [(0.0, math.nan), (0.0, math.inf), (0.0, -1.0)])
+    def test_beta_grid_must_be_finite_and_nonnegative(self, grid):
+        with pytest.raises(ValueError, match="beta_grid"):
+            CapacityConfig(beta_grid=grid)
 
 
 class TestSelectModel:

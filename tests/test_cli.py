@@ -11,11 +11,14 @@ import pytest
 import ascoding
 from ascoding.cli import ENV_OUTPUT_DIR, main
 from ascoding.datagen import load_dataset_csv, load_labels_csv
-from ascoding.thermo import read_columns_csv
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_columns(path):
+    return np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
 
 
 def gen_args(out, sigma=0.5, n=8, seed=1):
@@ -78,7 +81,7 @@ class TestCapacity:
                  "--engine", "exact", "--nsigma", "asymptotic", "--beta-grid", "0",
                  "--out", tmp_path / "cap")
         assert rc == 0
-        cols = read_columns_csv(tmp_path / "cap" / "capacity.csv")
+        cols = read_columns(tmp_path / "cap" / "capacity.csv")
         assert cols["beta"].size == 1
         # balanced well-separated blobs: H = log 2, so info(0) = 0
         assert cols["info"][0] == pytest.approx(0.0, abs=1e-9)
@@ -99,11 +102,11 @@ class TestCapacity:
                   "--test", dataset_dir / "test.csv", "--cost", "kmeans", "--k", 2,
                   "--grid-points", 14, "--seed", 3)
         run(*common, "--engine", "exact", "--out", tmp_path / "e")
-        cols = read_columns_csv(tmp_path / "e" / "capacity.csv")
+        cols = read_columns(tmp_path / "e" / "capacity.csv")
         grid = ",".join(repr(float(b)) for b in cols["beta"])
         run(*common, "--engine", "sampled", "--beta-grid", grid,
             "--chains", 3, "--burnin", 40, "--sweeps", 250, "--out", tmp_path / "s")
-        cols_s = read_columns_csv(tmp_path / "s" / "capacity.csv")
+        cols_s = read_columns(tmp_path / "s" / "capacity.csv")
         assert np.abs(cols["info"] - cols_s["info"]).max() <= 0.1
 
     def test_rerun_byte_identical(self, dataset_dir, tmp_path):
@@ -171,6 +174,17 @@ class TestSimulate:
             half = 0.5 * (g["interval"][1] - g["interval"][0])
             assert g["bound"] >= g["p_hat"] - half
 
+    def test_gamma_zero_with_tied_minima(self, tmp_path):
+        # six exactly tied training minima in trial 4: gamma = 0 calibrates
+        # with GAMMA_SLACK instead of doubling beta to inf
+        out = tmp_path / "tied"
+        rc = run("simulate", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 1,
+                 "--balanced", "--cost", "pairwise", "--k", 3, "--gammas", "0",
+                 "--codebook-sizes", "2", "--trials", 6, "--seed", 4, "--out", out)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert math.isfinite(summary["grid"][0]["bound"])
+
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "sim"
         args = ("simulate", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 1.0,
@@ -220,6 +234,15 @@ class TestErrorPaths:
         rc = run("capacity", "--train", bad, "--test", dataset_dir / "test.csv", "--k", 2,
                  "--engine", "exact", "--out", tmp_path / "x")
         assert rc == 4
+        assert not (tmp_path / "x" / "summary.json").exists()
+
+    @pytest.mark.parametrize("grid", ["0,nan", "0,inf"])
+    def test_non_finite_beta_grid_exit_2(self, dataset_dir, tmp_path, grid):
+        rc = run("capacity", "--train", dataset_dir / "train.csv",
+                 "--test", dataset_dir / "test.csv", "--k", 2, "--engine", "sampled",
+                 "--beta-grid", grid, "--out", tmp_path / "x")
+        assert rc == 2
+        assert not (tmp_path / "x" / "capacity.csv").exists()
         assert not (tmp_path / "x" / "summary.json").exists()
 
     def test_budget_error_exit_3(self, dataset_dir, tmp_path):

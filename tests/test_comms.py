@@ -10,7 +10,6 @@ from ascoding.capacity import exact_point_at_gamma, make_cost
 from ascoding.comms import (
     TrialRow,
     error_bound,
-    error_rate,
     error_rate_grid,
     generate_codebook,
     permute_dataset,
@@ -182,7 +181,7 @@ class TestErrorRate:
                            seed=1, balanced=True)
         for m in (2, 4, 8):
             cb = generate_codebook(8, math.log2(m) / 8, seed=1)
-            res = error_rate(cb, spec, "kmeans", 2, gamma=0.0, trials=50, seed=9)
+            [[res]] = error_rate_grid([cb], spec, "kmeans", 2, [0.0], trials=50, seed=9)
             assert res.p_hat == 0.0
 
     def test_single_codeword_trivial(self):
@@ -190,7 +189,7 @@ class TestErrorRate:
                            seed=1, balanced=True)
         cb = generate_codebook(6, rate_bits=0.0, seed=0)
         assert cb.m == 1
-        res = error_rate(cb, spec, "kmeans", 2, gamma=0.0, trials=20, seed=0)
+        [[res]] = error_rate_grid([cb], spec, "kmeans", 2, [0.0], trials=20, seed=0)
         assert res.p_hat == 0.0
 
     def test_stable_across_seeds_within_wilson(self):
@@ -198,7 +197,7 @@ class TestErrorRate:
                            seed=1, balanced=True)
         cb = generate_codebook(8, rate_bits=3 / 8, seed=1)
         results = [
-            error_rate(cb, spec, "kmeans", 2, gamma=0.0, trials=120, seed=s)
+            error_rate_grid([cb], spec, "kmeans", 2, [0.0], trials=120, seed=s)[0][0]
             for s in range(3)
         ]
         pooled = wilson_interval(sum(r.errors for r in results),
@@ -212,8 +211,8 @@ class TestErrorRate:
         means = []
         for m in (2, 8):
             ps = [
-                error_rate(generate_codebook(8, math.log2(m) / 8, seed=s + 10),
-                           spec, "kmeans", 2, gamma=0.0, trials=120, seed=s).p_hat
+                error_rate_grid([generate_codebook(8, math.log2(m) / 8, seed=s + 10)],
+                                spec, "kmeans", 2, [0.0], trials=120, seed=s)[0][0].p_hat
                 for s in range(3)
             ]
             means.append(np.mean(ps))
@@ -223,16 +222,16 @@ class TestErrorRate:
         spec = MixtureSpec(n=8, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
                            seed=1, balanced=True)
         cb = generate_codebook(8, rate_bits=2 / 8, seed=1)
-        res = error_rate(cb, spec, "kmeans", 2, gamma=1.0, trials=25, seed=3,
-                         compute_bound=True)
+        [[res]] = error_rate_grid([cb], spec, "kmeans", 2, [1.0], trials=25, seed=3,
+                                  compute_bound=True)
         assert res.bound is not None and 0.0 < res.bound <= 1.0
 
     def test_deterministic_given_seed(self):
         spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
                            seed=2, balanced=True)
         cb = generate_codebook(6, rate_bits=1 / 3, seed=4)
-        a = error_rate(cb, spec, "kmeans", 2, gamma=0.5, trials=30, seed=5)
-        b = error_rate(cb, spec, "kmeans", 2, gamma=0.5, trials=30, seed=5)
+        [[a]] = error_rate_grid([cb], spec, "kmeans", 2, [0.5], trials=30, seed=5)
+        [[b]] = error_rate_grid([cb], spec, "kmeans", 2, [0.5], trials=30, seed=5)
         assert a.rows == b.rows and a.p_hat == b.p_hat
 
 

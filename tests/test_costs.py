@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascoding.core import Assignment, Correspondence, Dataset
-from ascoding.costs import (
-    JointCost,
-    KMeansCost,
-    PairwiseCost,
-    erm_search,
-    kmeans_evaluate,
-    pairwise_evaluate,
-    single_site_delta,
-)
+from ascoding.core import Correspondence, Dataset
+from ascoding.costs import JointCost, KMeansCost, PairwiseCost, erm_search
 from ascoding.datagen import dissimilarity_from_vectors
 from ascoding.errors import BudgetError
+from ascoding.exact import enumerate_costs
 
 
 def vecs(*rows):
@@ -36,14 +29,14 @@ def brute_kmeans(labels, x):
 
 class TestKMeans:
     def test_singletons_cost_zero(self):
-        assert kmeans_evaluate(Assignment(np.array([1, 2]), 2), vecs([0.0], [2.0])) == 0.0
+        assert KMeansCost(vecs([0.0], [2.0]), 2).evaluate(np.array([1, 2])) == 0.0
 
     def test_symmetric_pair(self):
-        assert kmeans_evaluate(Assignment(np.array([1, 1]), 1), vecs([0.0], [2.0])) == pytest.approx(2.0)
+        assert KMeansCost(vecs([0.0], [2.0]), 1).evaluate(np.array([1, 1])) == pytest.approx(2.0)
 
     def test_three_points(self):
         data = vecs([0.0], [1.0], [4.0])
-        got = kmeans_evaluate(Assignment(np.array([1, 1, 2]), 2), data)
+        got = KMeansCost(data, 2).evaluate(np.array([1, 1, 2]))
         assert got == pytest.approx(0.5, abs=1e-12)
         assert got == pytest.approx(brute_kmeans([1, 1, 2], data.vectors), abs=1e-6)
 
@@ -64,15 +57,15 @@ class TestKMeans:
 class TestPairwise:
     def test_singletons_zero(self):
         d = Dataset.from_dissimilarities([[0.0, 4.0], [4.0, 0.0]])
-        assert pairwise_evaluate(Assignment(np.array([1, 2]), 2), d) == 0.0
+        assert PairwiseCost(d, 2).evaluate(np.array([1, 2])) == 0.0
 
     def test_two_point_cluster(self):
         d = Dataset.from_dissimilarities([[0.0, 4.0], [4.0, 0.0]])
-        assert pairwise_evaluate(Assignment(np.array([1, 1]), 2), d) == pytest.approx(2.0)
+        assert PairwiseCost(d, 2).evaluate(np.array([1, 1])) == pytest.approx(2.0)
 
     def test_three_point_cluster(self):
         d = Dataset.from_dissimilarities(np.full((3, 3), 2.0) - 2.0 * np.eye(3))
-        assert pairwise_evaluate(Assignment(np.array([1, 1, 1]), 1), d) == pytest.approx(2.0)
+        assert PairwiseCost(d, 1).evaluate(np.array([1, 1, 1])) == pytest.approx(2.0)
 
     def test_requires_dissimilarities(self):
         with pytest.raises(ValueError, match="dissimilarity"):
@@ -103,17 +96,17 @@ def random_instances():
 class TestSingleSiteDelta:
     def test_noop_is_zero(self):
         cost = KMeansCost(vecs([0.0], [2.0]), 2)
-        assert single_site_delta(cost, Assignment(np.array([1, 1]), 2), 0, 1) == 0.0
+        assert cost.site_state(np.array([1, 1])).deltas(0)[0] == 0.0
 
     def test_kmeans_example(self):
         cost = KMeansCost(vecs([0.0], [2.0]), 2)
-        got = single_site_delta(cost, Assignment(np.array([1, 1]), 2), 1, 2)
+        got = cost.site_state(np.array([1, 1])).deltas(1)[1]
         assert got == pytest.approx(-2.0, abs=1e-12)
 
     def test_pairwise_merge_example(self):
         d = Dataset.from_dissimilarities([[0.0, 4.0], [4.0, 0.0]])
         cost = PairwiseCost(d, 2)
-        got = single_site_delta(cost, Assignment(np.array([1, 2]), 2), 1, 1)
+        got = cost.site_state(np.array([1, 2])).deltas(1)[0]
         assert got == pytest.approx(2.0, abs=1e-12)
 
     @pytest.mark.parametrize("cost", random_instances())
@@ -127,7 +120,7 @@ class TestSingleSiteDelta:
             flipped = labels.copy()
             flipped[i] = b
             ref = cost.evaluate(flipped) - base
-            got = single_site_delta(cost, Assignment(labels, cost.k), i, b)
+            got = cost.site_state(labels).deltas(i)[b - 1]
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("cost", random_instances()[:2])
@@ -160,48 +153,48 @@ def test_relabeling_symmetry(seed):
 
 
 class TestErmSearch:
+    """The exact engine's table argmin is the global minimizer; the multistart
+    descent approximates it where k^n is out of reach."""
+
     def test_separated_points_reach_zero(self):
-        cost = KMeansCost(vecs([0.0], [100.0]), 2)
-        best, value = erm_search(cost, "exhaustive")
-        assert value == 0.0
+        assert enumerate_costs(KMeansCost(vecs([0.0], [100.0]), 2)).r_min == 0.0
 
     def test_three_points_brute_force(self):
         data = vecs([0.0], [1.0], [4.0])
         cost = KMeansCost(data, 2)
-        best, value = erm_search(cost, "exhaustive")
+        table = enumerate_costs(cost)
         # independent enumeration over all 8 label vectors
-        oracle = min(
-            kmeans_evaluate(Assignment(np.array(c), 2), data)
-            for c in itertools.product((1, 2), repeat=3)
-        )
-        assert value == pytest.approx(oracle) == pytest.approx(0.5)
-        assert np.array_equal(best.labels, [1, 1, 2])  # lexicographic tie-break
+        oracle = min(cost.evaluate(np.array(c)) for c in itertools.product((1, 2), repeat=3))
+        assert table.r_min == pytest.approx(oracle) == pytest.approx(0.5)
+        # [1,1,2] ties; the lowest index (object 0 least significant) wins
+        assert np.array_equal(table.minimizer_labels(), [2, 2, 1])
 
     def test_k1_returns_total_scatter(self):
-        data = vecs([0.0], [1.0], [4.0])
-        best, value = erm_search(KMeansCost(data, 1), "exhaustive")
-        assert np.array_equal(best.labels, [1, 1, 1])
-        assert value == pytest.approx(kmeans_evaluate(Assignment(np.array([1, 1, 1]), 1), data))
+        cost = KMeansCost(vecs([0.0], [1.0], [4.0]), 1)
+        table = enumerate_costs(cost)
+        assert np.array_equal(table.minimizer_labels(), [1, 1, 1])
+        assert table.r_min == pytest.approx(cost.evaluate(np.array([1, 1, 1])))
 
     def test_budget_error_mentions_multistart(self):
+        # the exact engine's error names the budget; the sampled engine's
+        # multistart search is what runs past it (engine="auto")
         cost = KMeansCost(vecs(*[[float(i)] for i in range(12)]), 2)
-        with pytest.raises(BudgetError, match="multistart"):
-            erm_search(cost, "exhaustive", budget=100)
+        with pytest.raises(BudgetError, match="budget"):
+            enumerate_costs(cost, budget=100)
 
     def test_exhaustive_no_worse_than_multistart(self):
         rng = np.random.default_rng(31)
         for seed in range(5):
             x = Dataset.from_vectors(rng.normal(size=(7, 2)) * 2)
             cost = KMeansCost(x, 3)
-            _, ex = erm_search(cost, "exhaustive")
-            _, ms = erm_search(cost, "multistart", restarts=20, seed=seed)
-            assert ex <= ms + 1e-12
+            _, ms = erm_search(cost, restarts=20, seed=seed)
+            assert enumerate_costs(cost).r_min <= ms + 1e-12
 
     def test_multistart_deterministic(self):
         x = Dataset.from_vectors(np.random.default_rng(4).normal(size=(10, 2)))
         cost = KMeansCost(x, 3)
-        a = erm_search(cost, "multistart", restarts=10, seed=7)
-        b = erm_search(cost, "multistart", restarts=10, seed=7)
+        a = erm_search(cost, restarts=10, seed=7)
+        b = erm_search(cost, restarts=10, seed=7)
         assert a[1] == b[1] and np.array_equal(a[0].labels, b[0].labels)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ascoding.core import Assignment, Correspondence, Dataset, build_correspondence
+from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.exact import (
@@ -17,11 +17,9 @@ from ascoding.thermo import (
     FreeEnergyCurve,
     GibbsConfig,
     default_beta_grid,
+    _sweep,
     estimate_mean_cost,
-    gibbs_sweep,
     joint_thermo_integrate,
-    read_columns_csv,
-    solve_beta_for_gamma,
     thermo_integrate_logZ,
 )
 
@@ -68,10 +66,10 @@ class TestGibbsSweep:
     def test_beta_zero_resamples_uniformly(self):
         cost = KMeansCost(vecs([0.0], [1.0], [5.0], [6.0]), 2)
         rng = derive_rng(1)
-        state = Assignment(np.array([1, 1, 1, 1]), 2)
+        state = cost.site_state(np.array([1, 1, 1, 1]))
         counts = np.zeros(2)
         for _ in range(2000):
-            state = gibbs_sweep(state, cost, 0.0, rng)
+            _sweep(state, 0.0, rng, cost.n)
             counts[state.labels[0] - 1] += 1
         # site 0 frequency ~ Binomial(2000, 1/2); allow 4 sigma
         assert abs(counts[0] - 1000) < 4 * math.sqrt(2000 * 0.25)
@@ -80,13 +78,13 @@ class TestGibbsSweep:
         data = vecs([0.0], [0.1], [10.0], [10.1])
         cost = KMeansCost(data, 2)
         rng = derive_rng(2)
-        state = Assignment(np.array([1, 2, 1, 2]), 2)
+        state = cost.site_state(np.array([1, 2, 1, 2]))
         for _ in range(30):
-            state = gibbs_sweep(state, cost, 1e6, rng)
+            _sweep(state, 1e6, rng, cost.n)
         frozen = state.labels.copy()
         assert cost.evaluate(frozen) == pytest.approx(0.01, abs=1e-9)
         for _ in range(10):
-            state = gibbs_sweep(state, cost, 1e6, rng)
+            _sweep(state, 1e6, rng, cost.n)
         assert np.array_equal(state.labels, frozen)
 
     def test_detailed_balance_two_site_chain(self):
@@ -101,7 +99,6 @@ class TestGibbsSweep:
         state = cost.site_state(np.array([1, 1]))
         counts = np.zeros(4)
         sweeps = 100_000
-        from ascoding.thermo import _sweep
         for _ in range(sweeps):
             _sweep(state, beta, rng, 2)
             idx = (state.labels[0] - 1) + 2 * (state.labels[1] - 1)
@@ -181,14 +178,6 @@ class TestThermoIntegration:
         assert np.all(np.diff(km_curve.log_z) <= 1e-12)
         assert km_curve.monotonicity_violations() == 0
 
-    def test_csv_roundtrip(self, km_curve, tmp_path):
-        curve = km_curve
-        path = tmp_path / "curve.csv"
-        curve.write_csv(path)
-        cols = read_columns_csv(path)
-        assert np.array_equal(cols["beta"], curve.betas)
-        assert np.array_equal(cols["logZ"], curve.log_z)
-
 
 class TestJointIntegration:
     def test_identical_sample_collapse(self, instance, cfg_for):
@@ -218,55 +207,14 @@ class TestJointIntegration:
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
 
-class TestSolveBetaForGamma:
-    def test_upper_boundary_returns_zero(self, instance, km_curve):
-        x1, _ = instance
-        table = enumerate_costs(KMeansCost(x1, 2))
-        curve = km_curve
-        r_min = table.r_min
-        span = curve.smoothed_mean_cost()[0] - r_min
-        sol = solve_beta_for_gamma(curve, r_min, span)
-        assert sol.beta == 0.0 and not sol.clamped
-
-    def test_clamped_above_range(self, instance, km_curve):
-        x1, _ = instance
-        sol = solve_beta_for_gamma(km_curve, enumerate_costs(KMeansCost(x1, 2)).r_min, 1e9)
-        assert sol.beta == 0.0 and sol.clamped
-
-    def test_tiny_gamma_saturates(self, instance, km_curve):
-        x1, _ = instance
-        sol = solve_beta_for_gamma(km_curve, enumerate_costs(KMeansCost(x1, 2)).r_min, 0.0)
-        assert sol.saturated and sol.beta == km_curve.betas[-1]
-
-    def test_mid_gamma_matches_exact_bisection(self, instance, km_curve):
-        x1, _ = instance
-        table = enumerate_costs(KMeansCost(x1, 2))
-        curve = km_curve
-        r_min = table.r_min
-        span = exact_mean_cost(table, 0.0) - r_min
-        for frac in (0.6, 0.3, 0.1):
-            gamma = frac * span
-            sol = solve_beta_for_gamma(curve, r_min, gamma)
-            lo, hi = 0.0, float(curve.betas[-1])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if exact_mean_cost(table, mid) - r_min > gamma:
-                    lo = mid
-                else:
-                    hi = mid
-            # within the local grid resolution
-            spacing = np.diff(curve.betas)
-            local = spacing[np.searchsorted(curve.betas[1:], hi, side="left").clip(0, spacing.size - 1)]
-            assert abs(sol.beta - hi) <= local + 1e-9
-
-    def test_isotonic_smoothing_handles_noise(self):
-        betas = np.array([0.0, 1.0, 2.0, 3.0])
+class TestFreeEnergyCurve:
+    def test_smoothed_mean_cost_is_isotonic(self):
         noisy = np.array([10.0, 6.1, 6.3, 2.0])  # non-monotone wiggle
-        curve = FreeEnergyCurve(betas=betas, log_z=np.zeros(4), mean_cost=noisy,
+        curve = FreeEnergyCurve(betas=np.arange(4.0), log_z=np.zeros(4), mean_cost=noisy,
                                 stderr=np.full(4, 0.2), n=4, k=2)
-        sol = solve_beta_for_gamma(curve, 0.0, 6.2)
-        assert 0.9 <= sol.beta <= 2.1
-        assert np.all(np.diff(curve.smoothed_mean_cost()) <= 1e-12)
+        smoothed = curve.smoothed_mean_cost()
+        assert smoothed == pytest.approx([10.0, 6.2, 6.2, 2.0], abs=1e-12)
+        assert np.all(np.diff(smoothed) <= 0.0)
 
 
 def test_default_grid_shape(instance):
