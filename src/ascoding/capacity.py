@@ -145,71 +145,111 @@ def _log_nsigma_of(minimizer: Assignment, nsigma: str) -> float:
     return log_type_class_size(type_distribution(minimizer), asymptotic=nsigma == "asymptotic")
 
 
-class _ExactEngine:
-    """Tables and reductions shared by the exact curve and point queries."""
+_NEWTON_TOL = 2.0**-50  # relative Newton step at which beta_for_gamma stops
+# a gamma target below this share of |r_min| + span is raised to it: costs
+# carry rounding noise of a few ulps (at k >= 3 relabelings of one partition
+# sum their clusters in different orders), and calibrating below that noise
+# would need a beta so large that the log-partitions lose all precision
+_GAMMA_RESOLUTION = 2.0**-44
 
-    def __init__(self, cost1, cost2, corr, budget):
-        self.table1 = ex.enumerate_costs(cost1, budget=budget)
-        self.table2 = ex.enumerate_costs(cost2, budget=budget)
+
+class _ExactEngine:
+    """Canonical-slice tables and reductions shared by the exact curve, the
+    point queries and the channel bound. Each sum over a slice is 1/k of the
+    full-table sum (see exact), so its log-partition adds log k."""
+
+    def __init__(self, table1: ex.CostTable, table2: ex.CostTable, corr: Correspondence):
+        self.table1, self.table2 = table1.canonical_slice(), table2.canonical_slice()
         self.joint = ex.joint_cost_table(self.table1, self.table2, corr)
         self.joint_min = float(self.joint.min())
-        self.n, self.k = cost1.n, cost1.k
-        self.minimizer = Assignment(self.table1.minimizer_labels(), cost1.k)
+        self.n, self.k = table1.n, table1.k
+        self.minimizer = Assignment(self.table1.minimizer_labels(), table1.k)
+
+    @classmethod
+    def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
+                  budget: int) -> "_ExactEngine":
+        return cls(ex.enumerate_costs(cost1, budget=budget, canonical=True),
+                   ex.enumerate_costs(cost2, budget=budget, canonical=True), corr)
 
     def log_dz(self, beta: float) -> float:
         if beta == 0.0:
             return self.n * float(np.log(self.k))
-        return ex.log_partition_of_costs(self.joint, self.joint_min, beta)
+        return ex.log_partition_of_costs(self.joint, self.joint_min, beta) + float(np.log(self.k))
 
-    def gamma(self, beta: float) -> float:
-        return ex.exact_mean_cost(self.table1, beta) - self.table1.r_min
+    def moments(self, beta: float) -> tuple[float, float]:
+        """Training mean-cost excess gamma(beta) and the variance of the
+        cost, from one pass."""
+        _, gamma, var = ex.exact_moments(self.table1, beta)
+        return gamma, var
 
     @functools.cached_property
     def span(self) -> float:
         """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
-        return self.gamma(0.0)
+        return self.moments(0.0)[0]
+
+    @functools.cached_property
+    def resolution(self) -> float:
+        """The smallest gamma beta_for_gamma resolves."""
+        return _GAMMA_RESOLUTION * (abs(self.table1.r_min) + self.span)
 
     def point(self, beta: float, log_ns: float) -> CapacityPoint:
-        lz1, mean1 = ex.exact_log_partition_and_mean(self.table1, beta)
+        lz1, gamma, _ = ex.exact_moments(self.table1, beta)
         lz2 = ex.exact_log_partition(self.table2, beta)
         ldz = self.log_dz(beta)
         info = (log_ns + ldz - lz1 - lz2) / self.n
-        return CapacityPoint(beta=float(beta), gamma=mean1 - self.table1.r_min,
-                             log_nsigma=log_ns, log_z1=lz1, log_z2=lz2, log_dz=ldz,
-                             info=info, n=self.n)
+        return CapacityPoint(beta=float(beta), gamma=gamma, log_nsigma=log_ns, log_z1=lz1,
+                             log_z2=lz2, log_dz=ldz, info=info, n=self.n)
 
-    def beta_for_gamma(self, target: float, iterations: int) -> float:
-        """Smallest bracketed beta whose mean-cost excess is <= target: a
-        doubling bracket, then at most `iterations` bisection steps. Once the
-        midpoint rounds onto an end, every later step would leave both ends
-        unchanged, so stopping there returns the same float."""
-        with np.errstate(over="ignore"):  # an overflowing weight exponent gives exp(-inf) = 0
-            # The mean over exactly tied minima can round above r_min at every
-            # finite beta; then the target takes approx_set_size's GAMMA_SLACK.
-            for goal in (target, target + ex.GAMMA_SLACK):
-                hi = 1.0
-                while hi < np.inf and self.gamma(hi) > goal:
-                    hi *= 2.0
-                if hi < np.inf:
-                    break
-        lo = 0.0
-        for _ in range(iterations):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self.gamma(mid) > goal:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+    def beta_for_gamma(self, target: float) -> float:
+        """Smallest beta, to relative precision _NEWTON_TOL, whose mean-cost
+        excess is <= target (a target below the resolution counts as the
+        resolution); 0 once target reaches the span.
+
+        beta doubles or halves from 1 until gamma crosses the target; then
+        safeguarded Newton steps on gamma(log beta), whose slope -beta Var(R)
+        comes from the same pass as gamma (the rtsafe scheme of Numerical
+        Recipes, section 9.4), shrink that bracket: a step that leaves it, or
+        is not half the step before last, bisects instead. A converged step
+        from above the target returns; from below it is stretched, doubling
+        each time, until it crosses the root.
+        """
+        target = max(target, self.resolution)
+        if target >= self.span:
+            return 0.0
+        # an overflowing weight exponent gives exp(-inf) = 0; a vanishing
+        # variance gives a non-finite Newton step, which bisects
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            beta = prev = 1.0
+            gamma, var = self.moments(beta)
+            above = gamma > target
+            while (gamma > target) == above:
+                prev, beta = beta, beta * (2.0 if above else 0.5)
+                gamma, var = self.moments(beta)
+            lo, hi = sorted((prev, beta))
+            step = step_old = hi - lo
+            stretch = _NEWTON_TOL
+            while True:
+                newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
+                if abs(newton - beta) < _NEWTON_TOL * beta:
+                    if gamma <= target:
+                        return beta
+                    newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
+                elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
+                    newton = 0.5 * (lo + hi)
+                if not lo < newton < hi:  # the bracket is at float resolution
+                    return hi
+                step_old, step = step, newton - beta
+                beta = newton
+                gamma, var = self.moments(beta)
+                if gamma > target:
+                    lo = beta
+                else:
+                    hi = beta
 
     def point_at_gamma(self, gamma: float, log_ns: float) -> CapacityPoint:
-        """Point whose beta is calibrated by bisection so the training
-        Boltzmann mean cost equals r_min + gamma; beta = 0 once gamma reaches
-        the span."""
-        if gamma >= self.span or self.span <= 0.0:
-            return self.point(0.0, log_ns)
-        return self.point(self.beta_for_gamma(gamma, iterations=80), log_ns)
+        """Point whose beta is calibrated so the training Boltzmann mean cost
+        equals r_min + gamma; beta = 0 once gamma reaches the span."""
+        return self.point(self.beta_for_gamma(gamma), log_ns)
 
     def auto_grid(self, points: int) -> tuple[float, ...]:
         """Geometric beta grid spanning mean-cost excess from ~90% down to
@@ -217,8 +257,8 @@ class _ExactEngine:
         span = self.span
         if span <= 0.0:  # flat landscape
             return (0.0, *np.geomspace(0.1, 10.0, points - 1))
-        beta_lo = self.beta_for_gamma(0.9 * span, iterations=60)
-        beta_hi = self.beta_for_gamma(1e-3 * span, iterations=60)
+        beta_lo = self.beta_for_gamma(0.9 * span)
+        beta_hi = self.beta_for_gamma(1e-3 * span)
         return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))
 
 
@@ -253,7 +293,7 @@ def capacity_curve(
     mode = _pick_engine(engine, train.n, k, cfg.budget)
 
     if mode == "exact":
-        eng = _ExactEngine(cost1, cost2, corr, cfg.budget)
+        eng = _ExactEngine.enumerate(cost1, cost2, corr, cfg.budget)
         log_ns = _log_nsigma_of(eng.minimizer, cfg.nsigma)
         grid = cfg.beta_grid or eng.auto_grid(cfg.grid_points)
         points = tuple(eng.point(float(b), log_ns) for b in grid)
@@ -295,11 +335,11 @@ def exact_point_at_gamma(
     corr: Correspondence | None = None,
 ) -> CapacityPoint:
     """Exact-engine capacity point at a prescribed gamma: beta is calibrated
-    by bisection so the training Boltzmann mean cost equals r_min + gamma."""
+    so the training Boltzmann mean cost equals r_min + gamma."""
     ex.check_gamma(gamma)
     cost1 = make_cost(cost_family, train, k)
     cost2 = make_cost(cost_family, test, k)
-    eng = _ExactEngine(cost1, cost2, _resolve_corr(train, test, corr), cfg.budget)
+    eng = _ExactEngine.enumerate(cost1, cost2, _resolve_corr(train, test, corr), cfg.budget)
     return eng.point_at_gamma(gamma, _log_nsigma_of(eng.minimizer, cfg.nsigma))
 
 

@@ -20,8 +20,9 @@ estimates, and wrong codewords score at chance level.
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: the
 training table, the correspondence and the bound's beta calibration are
-built once per trial (the calibration once per gamma), and the received
-table once per codebook. A cell then scores all codewords with one gather.
+built once per trial (the calibration once per gamma, on the canonical
+slice of the same training table), and the received table once per
+codebook. A cell then scores all codewords with one gather.
 """
 from __future__ import annotations
 
@@ -305,15 +306,13 @@ def error_rate_grid(
     infos: list[list[float]] = []  # per trial, per gamma
     for t in range(trials):
         x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
-        cost1 = make_cost(cost_family, x1, k)
+        table1 = enumerate_costs(make_cost(cost_family, x1, k), budget=budget)
         corr = build_correspondence(x1, x2)
         if compute_bound:
-            eng = _ExactEngine(cost1, make_cost(cost_family, x2, k), corr, budget)
+            table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget, canonical=True)
+            eng = _ExactEngine(table1, table2, corr)
             log_ns = _log_nsigma_of(eng.minimizer, "multinomial")
             infos.append([eng.point_at_gamma(g, log_ns).info for g in gammas])
-            table1 = eng.table1
-        else:
-            table1 = enumerate_costs(cost1, budget=budget)
         digits = [_member_digits(table1, g) for g in gammas]
         for cb, cb_rows in zip(codebooks, rows):
             sent = int(derive_rng(seed, t, 1).integers(cb.m))

@@ -20,7 +20,6 @@ __all__ = [
     "TypeDistribution",
     "CorrespondenceRequiredError",
     "build_correspondence",
-    "pushforward",
     "type_distribution",
     "type_entropy",
     "log_type_class_size",
@@ -177,14 +176,6 @@ def build_correspondence(train: Dataset, test: Dataset) -> Correspondence:
     d2 = ((b[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)
     nu = np.argmin(d2, axis=1).astype(np.int64)
     return Correspondence(nu=nu, n=train.n)
-
-
-def pushforward(c: Assignment, corr: Correspondence) -> Assignment:
-    """Carry a training-sample assignment over to the test sample: test object
-    i inherits the label of its corresponding training object nu[i]."""
-    if c.n != corr.n:
-        raise ValueError(f"assignment length {c.n} != correspondence length {corr.n}")
-    return Assignment(labels=c.labels[corr.nu], k=c.k)
 
 
 def type_distribution(c: Assignment) -> TypeDistribution:

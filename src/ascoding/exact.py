@@ -5,8 +5,8 @@ Assignments are encoded as mixed-radix integers with object 0 as the least
 significant digit (labels 1..k map to digits 0..k-1). The engine serves as
 the trusted oracle for the sampling machinery.
 
-Tables are built by halves (meet in the middle). With h = n // 2, index
-lo + k^h * hi pairs the assignment `lo` of objects 0..h-1 with the
+Tables are built by halves (meet in the middle). With h = max(1, n // 2),
+index lo + k^h * hi pairs the assignment `lo` of objects 0..h-1 with the
 assignment `hi` of objects h..n-1. Each cost's per-cluster statistics are
 additive over disjoint object sets, so every row of the table combines the
 statistics of one low-half and one high-half assignment (see
@@ -14,6 +14,16 @@ costs.SplitHalf) instead of decoding and scoring its label vector. The
 push-forward index of a training assignment is linear in its digits,
 sum_j digit_j * w_j with w_j = sum of k^i over test objects i mapped to j,
 so the joint table is table1 plus table2 gathered at p_lo[lo] + p_hi[hi].
+
+Costs, memberships and overlaps do not change when the k clusters are
+relabeled. A canonical table keeps only the assignments with object 0 in
+cluster 1, every k-th entry of the full table (the low-half assignments
+lo_masks[:, ::k]). Each relabeling orbit meets that slice in exactly 1/k of
+its members, so partition functions and counts are k times the slice's,
+and Boltzmann averages are equal. The joint table of two canonical tables
+gathers table2 at the canonical form of each push-forward: every label
+shifted by minus the label of test object 0 (at k = 2, idx -> 2^n - 1 - idx).
+
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
 """
@@ -38,7 +48,7 @@ __all__ = [
     "exact_log_partition",
     "log_partition_of_costs",
     "exact_mean_cost",
-    "exact_log_partition_and_mean",
+    "exact_moments",
     "joint_cost_table",
     "exact_joint_log_partition",
     "exact_set_intersection",
@@ -54,24 +64,68 @@ def decode_indices(indices: np.ndarray, n: int, k: int) -> np.ndarray:
     return (np.asarray(indices, dtype=np.int64)[:, None] // radix[None, :]) % k + 1
 
 
+def _lowest_in_orbit(indices: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Lowest index among the relabelings of each assignment: labels
+    renumbered 0, 1, ... in order of first appearance from object n-1 (the
+    most significant digit) down."""
+    digits = decode_indices(indices, n, k) - 1
+    rows = np.arange(len(digits))
+    relabel = np.full((len(digits), k), -1, dtype=np.int64)
+    fresh = np.zeros(len(digits), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        d = digits[:, i]
+        new = relabel[rows, d] < 0
+        relabel[rows[new], d[new]] = fresh[new]
+        fresh += new
+        digits[:, i] = relabel[rows, d]
+    return digits @ k ** np.arange(n, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CostTable:
-    """All k^n costs of one cost function, in encoding order."""
+    """Costs of one cost function in encoding order: all k^n assignments, or
+    with canonical=True the k^(n-1) that put object 0 in cluster 1 (every
+    k-th entry of the full table). argmin_index is always a full-table
+    index, the lowest among exact ties; a canonical table takes the lowest
+    member of the tied entries' relabeling orbits, which is the full
+    table's whenever relabelings cost the same bits (at k <= 2 the cluster
+    costs add commutatively; at k >= 3 they are summed in label order, so
+    relabelings can differ by an ulp)."""
 
     costs: np.ndarray
     n: int
     k: int
     r_min: float
     argmin_index: int
+    canonical: bool = False
 
     @staticmethod
-    def from_costs(costs: np.ndarray, n: int, k: int) -> "CostTable":
+    def from_costs(costs: np.ndarray, n: int, k: int, canonical: bool = False) -> "CostTable":
         costs = np.ascontiguousarray(costs, dtype=np.float64)
-        if costs.size != k**n:
-            raise ValueError(f"table length {costs.size} != k^n = {k**n}")
+        size = k ** (n - 1) if canonical else k**n
+        if costs.size != size:
+            raise ValueError(f"table length {costs.size} != {size}")
         costs.flags.writeable = False
         arg = int(np.argmin(costs))  # lowest index among exact ties
-        return CostTable(costs=costs, n=n, k=k, r_min=float(costs[arg]), argmin_index=arg)
+        r_min = float(costs[arg])
+        if canonical:
+            # every tied orbit meets the slice; its lowest member may not
+            tied = np.flatnonzero(costs == r_min) * k
+            arg = min(int(_lowest_in_orbit(tied[i : i + _BLOCK], n, k).min())
+                      for i in range(0, tied.size, _BLOCK))
+        return CostTable(costs=costs, n=n, k=k, r_min=r_min, argmin_index=arg,
+                         canonical=canonical)
+
+    @property
+    def multiplicity(self) -> int:
+        """Full-table entries each stored entry stands for."""
+        return self.k if self.canonical else 1
+
+    def canonical_slice(self) -> "CostTable":
+        """The canonical table of a full one."""
+        if self.canonical:
+            return self
+        return CostTable.from_costs(self.costs[:: self.k], self.n, self.k, canonical=True)
 
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
@@ -98,19 +152,27 @@ def _blocks(rows: int, cols: int):
             yield slice(h0, min(h0 + step_hi, rows)), slice(l0, min(l0 + step_lo, cols))
 
 
-def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET) -> CostTable:
-    """Materialize the full cost table of a hypothesis class from the
-    split-half statistics of the cost."""
+def _low_half(n: int) -> int:
+    """Objects in the low half; at least object 0, which fixes the slice."""
+    return max(1, n // 2)
+
+
+def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET,
+                    canonical: bool = False) -> CostTable:
+    """Materialize the full cost table of a hypothesis class, or its
+    canonical slice, from the split-half statistics of the cost."""
     if cost.k**cost.n > budget:
         raise BudgetError(f"k^n = {cost.k**cost.n} exceeds enumeration budget {budget}")
-    h = cost.n // 2
+    h = _low_half(cost.n)
     _, lo_masks = _half_labels(h, cost.k)
     _, hi_masks = _half_labels(cost.n - h, cost.k)
+    if canonical:
+        lo_masks = lo_masks[:, :: cost.k]
     halves = cost.split_half(lo_masks, hi_masks)
     out = np.empty((hi_masks.shape[1], lo_masks.shape[1]))
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = halves.block(lo, hi)
-    return CostTable.from_costs(out.ravel(), cost.n, cost.k)
+    return CostTable.from_costs(out.ravel(), cost.n, cost.k, canonical)
 
 
 def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
@@ -124,13 +186,35 @@ def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(nu.shape)
 
 
-def _split_pushforward(corr: Correspondence, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_lo, p_hi) with pushforward(lo + k^h hi) = p_lo[lo] + p_hi[hi]."""
-    h = n // 2
+def _pushforward_index(corr: Correspondence, n: int, k: int, canonical: bool):
+    """index(hi, lo): for the block [hi, lo] of a table laid out as (hi, lo)
+    halves, the entries of a second table of the same form that hold the
+    push-forwards of its assignments."""
+    h = _low_half(n)
     w = pushforward_weights(corr.nu, k)
     lo_digits, _ = _half_labels(h, k)
     hi_digits, _ = _half_labels(n - h, k)
-    return lo_digits @ w[:h], hi_digits @ w[h:]
+    if not canonical:
+        p_lo, p_hi = lo_digits @ w[:h], hi_digits @ w[h:]
+        return lambda hi, lo: p_hi[hi, None] + p_lo[None, lo]
+    # Shifting every label by -s is a relabeling; with s the label of
+    # training object j0 = nu[0], which test object 0 inherits, it puts the
+    # push-forward on the slice. Test object 0 is the only one whose weight
+    # k^0 is not a multiple of k, so the half without j0 contributes a
+    # multiple of k at every shift, and the half with j0 does at its own s.
+    lo_digits = lo_digits[::k]
+    shifts = np.arange(k)[:, None, None]
+    q_lo = ((lo_digits - shifts) % k) @ w[:h] // k
+    q_hi = ((hi_digits - shifts) % k) @ w[h:] // k
+    j0 = int(corr.nu[0])
+    if j0 < h:  # s follows the low-half assignment
+        s = lo_digits[:, j0]
+        own = q_lo[s, np.arange(len(s))]
+        other = np.ascontiguousarray(q_hi.T)
+        return lambda hi, lo: np.take(other[hi], s[lo], axis=1) + own[None, lo]
+    s = hi_digits[:, j0 - h]
+    own = q_hi[s, np.arange(len(s))]
+    return lambda hi, lo: q_lo[:, lo][s[hi]] + own[hi, None]
 
 
 def check_gamma(gamma: float) -> None:
@@ -144,31 +228,32 @@ def approx_set_size(table: CostTable, gamma: float) -> int:
     """|{c : R(c) <= r_min + gamma}| with a small absolute slack on the
     threshold so boundary members are not lost to summation noise."""
     check_gamma(gamma)
-    return int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
+    return table.multiplicity * int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
 
 
-def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float,
-                    with_mean: bool) -> tuple[float, float]:
-    """(sum_c w(c), sum_c R(c) w(c)) with w(c) = exp(-beta (R(c) - r_min)),
-    accumulated over chunks of _BLOCK entries in one reused buffer: fresh
-    table-sized temporaries cost more than the arithmetic."""
-    buf = np.empty(min(costs.size, _BLOCK))
-    z = moment = 0.0
+def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) -> list[float]:
+    """[sum_c w(c) x(c)^j for j = 0..order] with x(c) = R(c) - r_min and
+    w(c) = exp(-beta x(c)), accumulated over chunks of _BLOCK entries in
+    reused buffers: fresh table-sized temporaries cost more than the
+    arithmetic. In excess form, minima contribute x = 0 exactly."""
+    size = min(costs.size, _BLOCK)
+    x_buf, w_buf = np.empty(size), np.empty(size)
+    sums = [0.0] * (order + 1)
     for start in range(0, costs.size, _BLOCK):
         chunk = costs[start : start + _BLOCK]
-        w = buf[: chunk.size]
-        np.subtract(chunk, r_min, out=w)
-        np.multiply(w, -beta, out=w)
+        x, w = x_buf[: chunk.size], w_buf[: chunk.size]
+        np.subtract(chunk, r_min, out=x)
+        np.multiply(x, -beta, out=w)
         np.exp(w, out=w)
-        z += w.sum()
-        if with_mean:
-            moment += np.multiply(w, chunk, out=w).sum()
-    return z, moment
+        sums[0] += w.sum()
+        for j in range(1, order + 1):
+            sums[j] += np.multiply(w, x, out=w).sum()
+    return sums
 
 
 def log_partition_of_costs(costs: np.ndarray, r_min: float, beta: float) -> float:
     """Stable log sum exp(-beta * costs) given the minimum cost."""
-    z, _ = _boltzmann_sums(costs, r_min, beta, with_mean=False)
+    (z,) = _boltzmann_sums(costs, r_min, beta, 0)
     return float(-beta * r_min + np.log(z))
 
 
@@ -182,35 +267,47 @@ def exact_log_partition(table: CostTable, beta: float) -> float:
     _check_beta(beta)
     if beta == 0.0:
         return table.n * float(np.log(table.k))
-    return log_partition_of_costs(table.costs, table.r_min, beta)
+    return log_partition_of_costs(table.costs, table.r_min, beta) + float(
+        np.log(table.multiplicity))
 
 
-def exact_log_partition_and_mean(table: CostTable, beta: float) -> tuple[float, float]:
-    """(log Z, Boltzmann mean cost) at beta from one pass over the table;
-    log Z is exactly n log k at beta=0."""
+def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
+    """(log Z, mean excess cost <R> - r_min, variance of R) at beta from one
+    pass over the table; log Z is exactly n log k at beta=0."""
     _check_beta(beta)
-    z, moment = _boltzmann_sums(table.costs, table.r_min, beta, with_mean=True)
-    mean = float(moment / z)
+    z, m1, m2 = _boltzmann_sums(table.costs, table.r_min, beta, 2)
+    excess = float(m1 / z)
+    variance = float(m2 / z) - excess * excess
     if beta == 0.0:
-        return table.n * float(np.log(table.k)), mean
-    return float(-beta * table.r_min + np.log(z)), mean
+        return table.n * float(np.log(table.k)), excess, variance
+    log_z = float(-beta * table.r_min + np.log(z)) + float(np.log(table.multiplicity))
+    return log_z, excess, variance
 
 
 def exact_mean_cost(table: CostTable, beta: float) -> float:
     """Boltzmann average of the cost at inverse temperature beta."""
-    return exact_log_partition_and_mean(table, beta)[1]
+    return table.r_min + exact_moments(table, beta)[1]
+
+
+def _by_halves(table: CostTable) -> np.ndarray:
+    """The table's costs as a (hi, lo) matrix."""
+    return table.costs.reshape(table.k ** (table.n - _low_half(table.n)), -1)
+
+
+def _check_pair(table1: CostTable, table2: CostTable) -> None:
+    if (table2.n, table2.k, table2.canonical) != (table1.n, table1.k, table1.canonical):
+        raise ValueError("tables must share n, k and canonical")
 
 
 def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence) -> np.ndarray:
-    """Combined costs R(c, X1) + R(pushforward(c), X2) over all training
-    assignments c, in table1's encoding order."""
-    if table2.n != table1.n or table2.k != table1.k:
-        raise ValueError("tables must share n and k")
-    p_lo, p_hi = _split_pushforward(corr, table1.n, table1.k)
-    costs1 = table1.costs.reshape(p_hi.size, p_lo.size)
+    """Combined costs R(c, X1) + R(pushforward(c), X2) over the training
+    assignments c of table1, in its encoding order."""
+    _check_pair(table1, table2)
+    index = _pushforward_index(corr, table1.n, table1.k, table1.canonical)
+    costs1 = _by_halves(table1)
     out = np.empty(costs1.shape)
     for hi, lo in _blocks(*out.shape):
-        out[hi, lo] = costs1[hi, lo] + table2.costs[p_hi[hi, None] + p_lo[None, lo]]
+        out[hi, lo] = costs1[hi, lo] + table2.costs[index(hi, lo)]
     return out.ravel()
 
 
@@ -229,8 +326,10 @@ def exact_joint_log_partition(
     _check_beta(beta)
     if beta == 0.0:
         return table1.n * float(np.log(table1.k))
-    combined = joint_cost_table(table1, enumerate_costs(cost2, budget=budget), corr)
-    return log_partition_of_costs(combined, float(combined.min()), beta)
+    table2 = enumerate_costs(cost2, budget=budget, canonical=table1.canonical)
+    combined = joint_cost_table(table1, table2, corr)
+    return log_partition_of_costs(combined, float(combined.min()), beta) + float(
+        np.log(table1.multiplicity))
 
 
 def exact_set_intersection(
@@ -242,15 +341,14 @@ def exact_set_intersection(
     """#{c in C_gamma(X1) : pushforward(c) in C_gamma(X2)}, counted over
     training assignments (pushforward collisions are not collapsed)."""
     check_gamma(gamma)
-    if table2.n != table1.n or table2.k != table1.k:
-        raise ValueError("tables must share n and k")
+    _check_pair(table1, table2)
     thresh1 = table1.r_min + gamma + GAMMA_SLACK
     member2 = table2.costs <= table2.r_min + gamma + GAMMA_SLACK
-    p_lo, p_hi = _split_pushforward(corr, table1.n, table1.k)
-    costs1 = table1.costs.reshape(p_hi.size, p_lo.size)
+    index = _pushforward_index(corr, table1.n, table1.k, table1.canonical)
+    costs1 = _by_halves(table1)
     count = 0
     for hi, lo in _blocks(*costs1.shape):
         sel = costs1[hi, lo] <= thresh1
         if sel.any():
-            count += int(member2[(p_hi[hi, None] + p_lo[None, lo])[sel]].sum())
-    return count
+            count += int(member2[index(hi, lo)[sel]].sum())
+    return table1.multiplicity * count

@@ -25,7 +25,7 @@ from ascoding.core import (
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import GAMMA_SLACK, enumerate_costs
+from ascoding.exact import enumerate_costs
 from ascoding.rng import derive_seed
 
 
@@ -218,37 +218,90 @@ class TestExactPointAtGamma:
         pt = exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=1e9)
         assert pt.beta == 0.0
 
-    @pytest.mark.parametrize("fraction, iterations", [(0.9, 60), (1e-3, 60), (0.3, 80)])
-    def test_bisection_stop_returns_the_full_run_result(self, pair_n8, fraction, iterations):
+    @pytest.mark.parametrize("fraction", [0.9, 1e-3, 0.3, 0.0])
+    def test_newton_matches_full_bisection(self, pair_n8, fraction):
         x1, x2 = pair_n8
-        eng = _ExactEngine(KMeansCost(x1, 2), KMeansCost(x2, 2),
-                           build_correspondence(x1, x2), CapacityConfig().budget)
-        target = fraction * eng.gamma(0.0)
+        eng = _ExactEngine.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
+                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        target = max(fraction * eng.span, eng.resolution)  # smaller gammas count as 0
         lo, hi = 0.0, 1.0
-        while eng.gamma(hi) > target:
+        while eng.moments(hi)[0] > target:
             hi *= 2.0
-        for _ in range(iterations):  # every pass, no early stop
+        for _ in range(100):  # plain bisection, every pass, to float resolution
             mid = 0.5 * (lo + hi)
-            if eng.gamma(mid) > target:
+            if eng.moments(mid)[0] > target:
                 lo = mid
             else:
                 hi = mid
-        assert eng.beta_for_gamma(target, iterations) == hi
+        beta = eng.beta_for_gamma(target)
+        assert beta == pytest.approx(hi, rel=1e-12, abs=0.0)
+        assert eng.moments(beta)[0] <= target
+
+    @staticmethod
+    def _tied_trial(seed, trial, separation, sigma):
+        """Trial `trial` of `simulate --n 6 --k-true 2 --sep S --sigma s
+        --balanced --cost pairwise --k 3 --seed seed`."""
+        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=sigma, separation=separation,
+                           seed=derive_seed(seed, trial, 0), balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        return x1, x2
 
     def test_gamma_zero_with_exactly_tied_minima(self):
-        # trial 4 of `simulate --n 6 ... --cost pairwise --k 3 --seed 4`: the
-        # Boltzmann mean over six exactly tied minima rounds above r_min at
-        # every finite beta, so gamma = 0 is reached only with GAMMA_SLACK
-        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
-                           seed=derive_seed(4, 4, 0), balanced=True)
-        x1, x2, _ = draw_paired_samples(spec)
-        eng = _ExactEngine(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
-                           build_correspondence(x1, x2), CapacityConfig().budget)
-        assert (eng.table1.costs == eng.table1.r_min).sum() == 6
-        assert eng.gamma(2.0**1000) > 0.0
+        # six exactly tied minima, two on the canonical slice: in excess form
+        # the mean cost reaches r_min exactly once the other weights underflow
+        x1, x2 = self._tied_trial(4, 4, 6.0, 1.0)
+        eng = _ExactEngine.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
+                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        assert (eng.table1.costs == eng.table1.r_min).sum() == 6 // 3
+        assert eng.moments(2.0**1000)[0] == 0.0
         pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
-        assert 0.0 < pt.gamma <= GAMMA_SLACK
+        assert 0.0 <= pt.gamma <= eng.resolution
+
+    def test_gamma_zero_with_tied_minima_at_a_large_cost_scale(self):
+        # r_min = 23472.6: the tied minima's mean once rounded a few ulps,
+        # more than GAMMA_SLACK, above r_min at every finite beta
+        x1, x2 = self._tied_trial(1, 1, 600.0, 100.0)
+        eng = _ExactEngine.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
+                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        assert math.isfinite(pt.beta) and math.isfinite(pt.info)
+        assert 0.0 <= pt.gamma <= eng.resolution
+
+    def test_gamma_zero_ignores_rounding_level_near_ties(self):
+        # at k = 3 the slice keeps two relabelings of each partition, whose
+        # costs differ by an ulp; calibrating gamma = 0 past that gap put beta
+        # at 2e17, where the log-partitions cancelled to info = -114
+        spec = MixtureSpec(n=9, d=3, k_true=3, noise_sigma=1.0, separation=5.0,
+                           seed=derive_seed(0, 5, 0), balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        assert pt.beta < 100.0
+        assert pt.info == pytest.approx(
+            exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=1e-6).info, abs=1e-6)
+
+
+class TestExactEngineWork:
+    def test_boltzmann_passes_per_curve(self, monkeypatch):
+        # a 25-point curve at n = 20, k = 2: 73 passes for the grid points, one
+        # for the span and two Newton calibrations (full-table bisection
+        # made 186 passes over 2^20 entries)
+        import ascoding.exact as ex
+
+        sizes = []
+        sums = ex._boltzmann_sums
+
+        def counted(costs, *args):
+            sizes.append(costs.size)
+            return sums(costs, *args)
+
+        monkeypatch.setattr(ex, "_boltzmann_sums", counted)
+        spec = MixtureSpec(n=20, d=2, k_true=2, noise_sigma=1.0, separation=4.0, seed=0,
+                           balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        capacity_curve(x1, x2, "kmeans", 2, engine="exact", cfg=CapacityConfig())
+        assert set(sizes) == {2**19}
+        assert len(sizes) <= 100
 
 
 class TestCapacityConfig:

@@ -175,12 +175,23 @@ class TestSimulate:
             assert g["bound"] >= g["p_hat"] - half
 
     def test_gamma_zero_with_tied_minima(self, tmp_path):
-        # six exactly tied training minima in trial 4: gamma = 0 calibrates
-        # with GAMMA_SLACK instead of doubling beta to inf
+        # six exactly tied training minima in trial 4: the mean-cost excess
+        # reaches gamma = 0 exactly at a finite beta
         out = tmp_path / "tied"
         rc = run("simulate", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 1,
                  "--balanced", "--cost", "pairwise", "--k", 3, "--gammas", "0",
                  "--codebook-sizes", "2", "--trials", 6, "--seed", 4, "--out", out)
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert math.isfinite(summary["grid"][0]["bound"])
+
+    def test_gamma_zero_with_tied_minima_at_a_large_cost_scale(self, tmp_path):
+        # r_min is about 2e4 here, so a mean cost rounded a few ulps above it
+        # once exceeded any absolute slack
+        out = tmp_path / "tied"
+        rc = run("simulate", "--n", 6, "--k-true", 2, "--sep", 600, "--sigma", 100,
+                 "--balanced", "--cost", "pairwise", "--k", 3, "--gammas", "0",
+                 "--codebook-sizes", "2", "--trials", 6, "--seed", 1, "--out", out)
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert math.isfinite(summary["grid"][0]["bound"])

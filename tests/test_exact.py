@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ascoding.core import Correspondence, Dataset, build_correspondence
+from ascoding.capacity import CapacityConfig, _ExactEngine, _log_nsigma_of
+from ascoding.core import Assignment, Correspondence, Dataset, build_correspondence
 from ascoding.costs import KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
@@ -347,3 +348,72 @@ class TestSplitHalfAgainstReference:
             assert exact_mean_cost(t1, beta) == pytest.approx(
                 float((t1.costs * np.exp(-beta * t1.costs)).sum()
                       / np.exp(-beta * t1.costs).sum()), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# canonical slice (object 0 in cluster 1) against the full-table reference
+# ---------------------------------------------------------------------------
+
+def reference_moments(costs, beta):
+    """(log Z, mean excess, variance) by direct summation over a full table."""
+    r_min = costs.min()
+    w = np.exp(-beta * (costs - r_min))
+    z = w.sum()
+    gamma = float((w * (costs - r_min)).sum() / z)
+    return float(-beta * r_min + np.log(z)), gamma, float((w * (costs - r_min - gamma) ** 2).sum() / z)
+
+
+class TestCanonicalSliceAgainstFull:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=instances(), beta_unit=st.sampled_from([0.0, 0.05, 0.4, 3.0]))
+    def test_engine_matches_full_tables(self, inst, beta_unit):
+        cost1, cost2, nu, integral, scale = inst
+        n, k = cost1.n, cost1.k
+        eng = _ExactEngine.enumerate(cost1, cost2, Correspondence(nu=nu, n=n),
+                                     CapacityConfig().budget)
+        ref1, ref2 = reference_table(cost1), reference_table(cost2)
+        joint = reference_joint(ref1, ref2, nu)
+        assert eng.table1.costs.size == eng.joint.size == k ** (n - 1)
+        assert np.abs(eng.joint - joint[::k]).max() <= 1e-12 * scale
+        if integral:  # same arithmetic: the slice is every k-th entry
+            assert np.array_equal(eng.table1.costs, ref1.costs[::k])
+        assert ref1.costs[eng.table1.argmin_index] <= ref1.r_min + 2e-12 * scale
+        nsigma = _log_nsigma_of(eng.minimizer, "multinomial")
+        if integral:
+            assert nsigma == _log_nsigma_of(Assignment(ref1.minimizer_labels(), k), "multinomial")
+            if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
+                assert eng.table1.argmin_index == ref1.argmin_index
+        beta = beta_unit * 10.0 / scale
+        lz1, gamma, var = reference_moments(ref1.costs, beta)
+        pt = eng.point(beta, nsigma)
+        # costs agree to 1e-12 * scale, which moves log Z by beta times that
+        for got, want in ((pt.log_z1, lz1), (pt.log_z2, reference_moments(ref2.costs, beta)[0]),
+                          (pt.log_dz, reference_moments(joint, beta)[0])):
+            assert abs(got - want) <= 1e-12 * (abs(want) + beta * scale)
+        assert abs(pt.gamma - gamma) <= 1e-12 * scale
+        assert abs(eng.moments(beta)[1] - var) <= 1e-12 * scale**2
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=instances())
+    def test_counts_on_the_slice_match_full_tables(self, inst):
+        cost1, cost2, nu, integral, _ = inst
+        assume(integral)
+        corr = Correspondence(nu=nu, n=cost1.n)
+        full1, full2 = enumerate_costs(cost1), enumerate_costs(cost2)
+        can1, can2 = full1.canonical_slice(), enumerate_costs(cost2, canonical=True)
+        gaps = np.unique(np.concatenate([full1.costs - full1.r_min, full2.costs - full2.r_min]))
+        for gamma in (*gaps[:6], *gaps[-2:]):
+            assert approx_set_size(can1, gamma) == approx_set_size(full1, gamma)
+            assert exact_set_intersection(can1, can2, corr, gamma) == \
+                exact_set_intersection(full1, full2, corr, gamma)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 4), (3, 4), (4, 2)])
+    def test_k_above_n_and_tied_partitions(self, n, k):
+        # every point at 0 ties all partitions: the slice keeps the lowest
+        # full index, the all-ones labeling
+        for x in (vecs(*[[float(i)] for i in range(n)]), vecs(*[[0.0]] * n)):
+            full = enumerate_costs(KMeansCost(x, k))
+            can = enumerate_costs(KMeansCost(x, k), canonical=True)
+            assert np.array_equal(can.costs, full.costs[::k])
+            assert can.argmin_index == full.argmin_index
+            assert can.multiplicity * can.costs.size == full.costs.size
