@@ -35,6 +35,7 @@ from .datagen import dissimilarity_from_vectors, write_csv_rows
 from .errors import BudgetError
 from .rng import derive_seed
 from .thermo import (
+    FreeEnergyCurve,
     GibbsConfig,
     default_beta_grid,
     joint_thermo_integrate,
@@ -81,6 +82,7 @@ class CapacityCurve:
     cost_name: str
     n: int
     k: int
+    warnings: tuple[str, ...] = ()  # sampled self-check breaches
 
     def __post_init__(self):
         if not self.points:
@@ -313,6 +315,11 @@ def capacity_curve(
     curve2 = thermo_integrate_logZ(cost2, gibbs(2))
     joint = joint_thermo_integrate(cost1, cost2, corr, gibbs(3))
     gammas = np.maximum(curve1.smoothed_mean_cost() - r_min, 0.0)
+    # an excess below the costs' rounding noise is the ground state: levels
+    # that all sit in it then tie at gamma 0, and the lowest beta wins
+    gammas[gammas < _GAMMA_RESOLUTION * (abs(r_min) + gammas[0])] = 0.0
+    r_joint = r_min + cost2.evaluate(minimizer.labels[corr.nu])
+    warnings = _sampled_warnings(curve1, curve2, joint, r_min, r_joint, log_ns)
     points = []
     for i, beta in enumerate(grid):
         info = (log_ns + joint.log_z[i] - curve1.log_z[i] - curve2.log_z[i]) / train.n
@@ -322,7 +329,43 @@ def capacity_curve(
             log_dz=float(joint.log_z[i]), info=float(info), n=train.n,
         ))
     return CapacityCurve(points=tuple(points), engine="sampled", cost_name=cost_family,
-                         n=train.n, k=k)
+                         n=train.n, k=k, warnings=warnings)
+
+
+# the accuracy the sampled engine is validated to: 0.05 n nats in each
+# log-partition estimate, so 3 x 0.05 nats per object in info, which sums three
+_SAMPLED_SLACK = 0.05
+
+
+def _sampled_warnings(curve1: FreeEnergyCurve, curve2: FreeEnergyCurve,
+                      joint: FreeEnergyCurve, r1: float, r_joint: float,
+                      log_ns: float) -> tuple[str, ...]:
+    """Breaches of bounds that hold exactly, by more than the sampled
+    engine's accuracy: log Z1 >= -beta R1(c) and log dZ >= -beta R_joint(c)
+    at the ERM minimizer c, info <= log_nsigma / n; plus mean-cost rises
+    beyond 2 standard errors in any of the three curves sampled by more than
+    one chain."""
+    n, betas = curve1.n, curve1.betas
+    found = []
+
+    def worst(name, excess, allowed, what):
+        i = int(np.argmax(excess))
+        if excess[i] > allowed:
+            found.append(f"{name} {what} by {excess[i]:.6g} at beta={float(betas[i])!r}")
+
+    worst("logZ1", -betas * r1 - curve1.log_z, _SAMPLED_SLACK * n,
+          "below -beta R1(ERM minimizer)")
+    worst("logDZ", -betas * r_joint - joint.log_z, _SAMPLED_SLACK * n,
+          "below -beta (R1 + R2)(ERM minimizer)")
+    info = (log_ns + joint.log_z - curve1.log_z - curve2.log_z) / n
+    worst("info", info - log_ns / n, 3 * _SAMPLED_SLACK, "above log_nsigma/n")
+    for name, curve in (("logZ1", curve1), ("logZ2", curve2), ("logDZ", joint)):
+        # a single chain's curve has no standard error to measure rises by
+        rises = curve.monotonicity_violations() if curve.stderr.any() else 0
+        if rises:
+            found.append(f"{name} mean cost rises with beta beyond 2 stderr at {rises} "
+                         f"grid step{'s' if rises > 1 else ''}")
+    return tuple(found)
 
 
 def exact_point_at_gamma(
@@ -359,12 +402,15 @@ class CandidateScore:
     curve: CapacityCurve | None = None
 
     def summary(self) -> dict:
-        return {
+        out = {
             "candidate": {"cost": self.cost_family, "k": self.k},
             "info_star": self.info_star,
             "gamma_star": self.gamma_star,
             "beta_star": self.beta_star,
         }
+        if self.curve is not None and self.curve.warnings:
+            out["warnings"] = list(self.curve.warnings)
+        return out
 
 
 @dataclass(frozen=True)
@@ -408,5 +454,21 @@ def select_model(
         g, b, i = optimal_gamma(curve)
         scores.append(CandidateScore(cost_family=family, k=k, info_star=i,
                                      gamma_star=g, beta_star=b, curve=curve))
-    ranking = tuple(sorted(scores, key=lambda s: -s.info_star))
-    return SelectionResult(ranking=ranking, failures=tuple(failures))
+    return SelectionResult(ranking=_rank(scores), failures=tuple(failures))
+
+
+_TIE_RTOL = 1e-12  # info_star values this close (relative) are equal
+
+
+def _rank(scores: list[CandidateScore]) -> tuple[CandidateScore, ...]:
+    """Highest info_star first. Values within _TIE_RTOL of the best left are
+    ties, and ties keep candidate order: capacities that are equal in exact
+    arithmetic differ in their last bits by summation order."""
+    order = sorted(range(len(scores)), key=lambda i: -scores[i].info_star)
+    ranked = []
+    while order:
+        lead = scores[order[0]].info_star
+        tied = sum(abs(scores[i].info_star - lead) <= _TIE_RTOL * abs(lead) for i in order)
+        ranked += sorted(order[:tied])
+        order = order[tied:]
+    return tuple(scores[i] for i in ranked)

@@ -111,14 +111,14 @@ def cmd_capacity(args) -> int:
                            cfg=_capacity_config(args))
     gamma_star, beta_star, info_star = optimal_gamma(curve)
     curve.write_csv(out / "capacity.csv")
-    _write_json(
-        {
-            "cost": args.cost, "k": args.k, "n": curve.n, "engine": curve.engine,
-            "info_star": info_star, "gamma_star": gamma_star, "beta_star": beta_star,
-            "total_nats": info_star * curve.n,
-        },
-        out / "summary.json",
-    )
+    summary = {
+        "cost": args.cost, "k": args.k, "n": curve.n, "engine": curve.engine,
+        "info_star": info_star, "gamma_star": gamma_star, "beta_star": beta_star,
+        "total_nats": info_star * curve.n,
+    }
+    if curve.warnings:
+        summary["warnings"] = list(curve.warnings)
+    _write_json(summary, out / "summary.json")
     _write_manifest(args, out, "capacity")
     print(out / "capacity.csv")
     print(out / "summary.json")

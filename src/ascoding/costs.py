@@ -10,13 +10,14 @@ Two concrete costs are shipped:
 Both are label-permutation invariant, nonnegative, and treat empty clusters
 as zero-cost, so the hypothesis class is all k^n label vectors.
 
-Each cost exposes a SiteState carrying sufficient statistics (cluster sums
-and counts) so that single-site and same-label group moves cost O(k) instead
-of a full re-evaluation; the Gibbs sampler and local search run on it. The
-same statistics are additive over disjoint object sets, so each cost also
-exposes a SplitHalf: per-cluster statistics of the two halves of the objects
-from which the exact engine assembles every assignment's cost without
-decoding it.
+Each cost exposes a ReplicaState: the per-cluster sufficient statistics
+(counts and sums) of R assignments at once, stacked over replicas, so one
+numpy call gives every replica's cost changes for one site. Its `sweep` is
+the one kernel behind the Gibbs sampler, replica exchange, the pilot grid
+and the multistart minimizer search. The same statistics are additive over
+disjoint object sets, so each cost also exposes a SplitHalf: per-cluster
+statistics of the two halves of the objects from which the exact engine
+assembles every assignment's cost without decoding it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ __all__ = [
     "KMeansCost",
     "PairwiseCost",
     "JointCost",
-    "SiteState",
+    "ReplicaState",
     "SplitHalf",
     "erm_search",
 ]
@@ -40,32 +41,67 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 24
 
 
-class SiteState(ABC):
-    """Mutable view of one assignment with incremental move support.
+class ReplicaState(ABC):
+    """R assignments ("replicas") of m units, with per-cluster statistics
+    stacked over replicas and batched moves.
 
-    Labels are stored 1..k. deltas(i)[b-1] is the cost change of setting site
-    i to label b; the entry for the current label is exactly 0.
+    A unit is one object, or for a JointCost's test side, the set of test
+    objects one training object is pushed to. labels[r, j] is the cluster
+    index (0..k-1) of unit j in replica r; the state owns `labels` and
+    updates it in place. deltas(j)[r, b] is replica r's cost change of giving
+    unit j cluster b; the entry for its current cluster is exactly 0.
     """
 
     labels: np.ndarray
+    k: int
 
     @property
     @abstractmethod
-    def cost(self) -> float: ...
+    def cost(self) -> np.ndarray:
+        """Each replica's cost, shape (R,)."""
 
     @abstractmethod
-    def deltas(self, i: int) -> np.ndarray: ...
+    def deltas(self, j: int) -> np.ndarray: ...
 
     @abstractmethod
-    def move(self, i: int, new_label: int) -> None: ...
+    def shift(self, j: int, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Move unit j's statistics in replicas `rows` from clusters `old` to
+        clusters `new` (all three 1-d and equally long); labels are left to
+        the caller."""
 
-    @abstractmethod
-    def group_deltas(self, members: np.ndarray) -> np.ndarray:
-        """Cost changes of moving all `members` (which must share one current
-        label) jointly to each label."""
+    def sweep(self, beta: np.ndarray | None = None, u: np.ndarray | None = None) -> int:
+        """Visit every unit once, in order, in all replicas at once; returns
+        the number of (replica, unit) moves made.
 
-    @abstractmethod
-    def move_group(self, members: np.ndarray, new_label: int) -> None: ...
+        With `beta` (R,) and uniforms `u` (R, m), each replica's unit is
+        redrawn from the conditional proportional to exp(-beta * delta)
+        (heat-bath Gibbs). With `beta` None, it moves to its lowest-cost
+        cluster when that lowers the cost (greedy descent; the lowest
+        cluster index wins ties).
+        """
+        moves = 0
+        for j in range(self.labels.shape[1]):
+            d = self.deltas(j)
+            old = self.labels[:, j]
+            if beta is None:
+                new = np.where(d.min(axis=1) < 0.0, d.argmin(axis=1), old)
+            else:
+                cs = np.cumsum(np.exp(-beta[:, None] * (d - d.min(axis=1, keepdims=True))),
+                               axis=1)
+                new = (cs <= (u[:, j] * cs[:, -1])[:, None]).sum(axis=1)
+                np.minimum(new, self.k - 1, out=new)
+            rows = np.flatnonzero(new != old)
+            if rows.size:
+                new = new[rows]
+                self.shift(j, rows, old[rows], new)
+                self.labels[rows, j] = new
+                moves += rows.size
+        return moves
+
+
+def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
+    """(R, m, k) cluster indicators of (R, m) labels."""
+    return (labels[:, :, None] == np.arange(k)).astype(np.float64)
 
 
 class SplitHalf(ABC):
@@ -97,7 +133,9 @@ class CostFunction(ABC):
     def evaluate(self, labels: np.ndarray) -> float: ...
 
     @abstractmethod
-    def site_state(self, labels: np.ndarray) -> SiteState: ...
+    def replica_state(self, labels: np.ndarray) -> ReplicaState:
+        """State of the (R, n) cluster indices `labels` (0..k-1), which the
+        state takes over and updates in place."""
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> SplitHalf:
         """Statistics of the two halves of the objects for exact enumeration;
@@ -138,8 +176,13 @@ class KMeansCost(CostFunction):
             total += np.where(cnt > 0, np.maximum(contrib, 0.0), 0.0)
         return total
 
-    def site_state(self, labels: np.ndarray) -> "KMeansState":
-        return KMeansState(self, labels)
+    def replica_state(self, labels: np.ndarray, groups: np.ndarray | None = None) -> KMeansReplicas:
+        """`groups` (m, n), if given, makes unit j the objects i with
+        groups[j, i] = 1 instead of object j."""
+        x, sq, size = self._x, self._sq, np.ones(self.n)
+        if groups is not None:
+            x, sq, size = groups @ x, groups @ sq, groups.sum(axis=1)
+        return KMeansReplicas(x, sq, size, labels, self.k)
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "KMeansHalves":
         return KMeansHalves(self, lo_masks, hi_masks)
@@ -176,78 +219,47 @@ class KMeansHalves(SplitHalf):
         return total
 
 
-class KMeansState(SiteState):
-    def __init__(self, cost: KMeansCost, labels: np.ndarray):
-        self._c = cost
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
-        k = cost.k
-        onehot = np.zeros((cost.n, k))
-        onehot[np.arange(cost.n), self.labels - 1] = 1.0
-        self._cnt = onehot.sum(axis=0)                  # (k,)
-        self._sums = onehot.T @ cost._x                 # (k, d)
-        self._sq = onehot.T @ cost._sq                  # (k,)
+class KMeansReplicas(ReplicaState):
+    """Per replica and cluster, stacked on the last axis: object count,
+    squared-norm sum and vector sum, (R, k, 2 + d). Units carry the same
+    three statistics of their objects, so a move adds one unit row to one
+    cluster and subtracts it from another."""
+
+    def __init__(self, x: np.ndarray, sq: np.ndarray, size: np.ndarray,
+                 labels: np.ndarray, k: int):
+        self.labels, self.k = labels, k
+        self._unit = np.column_stack([size, sq, x])
+        self._rows = np.arange(labels.shape[0])
+        self._stats = np.einsum("rmk,ms->rks", _onehot(labels, k), self._unit)
 
     @property
-    def cost(self) -> float:
+    def cost(self) -> np.ndarray:
         # empty clusters carry exact-to-tiny zero sums, so dividing by
-        # max(cnt, 1) is safe and avoids errstate overhead
-        contrib = self._sq - (self._sums**2).sum(axis=1) / np.maximum(self._cnt, 1.0)
-        return float(np.maximum(contrib, 0.0).sum())
+        # max(cnt, 1) is safe; per-cluster scatter is >= 0 up to cancellation
+        cnt, sqs, sums = self._stats[..., 0], self._stats[..., 1], self._stats[..., 2:]
+        norm = np.einsum("rkd,rkd->rk", sums, sums)
+        return np.maximum(sqs - norm / np.maximum(cnt, 1.0), 0.0).sum(axis=1)
 
-    def deltas(self, i: int) -> np.ndarray:
-        return self._deltas_for(int(self.labels[i]) - 1, self._c._x[i], 1)
-
-    def group_deltas(self, members: np.ndarray) -> np.ndarray:
-        return self._deltas_for(
-            int(self.labels[members[0]]) - 1,
-            self._c._x[members].sum(axis=0),
-            members.size,
-        )
-
-    def _deltas_for(self, a: int, s_f: np.ndarray, f: int) -> np.ndarray:
-        cnt, sums = self._cnt, self._sums
-        na = cnt[a] - f
-        base = (sums[a] @ sums[a]) / cnt[a]
-        if na > 0:
-            rem = sums[a] - s_f
-            base -= (rem @ rem) / na
-        grown = sums + s_f
-        new = (grown * grown).sum(axis=1) / (cnt + f)
-        old = (sums * sums).sum(axis=1) / np.maximum(cnt, 1.0)
-        out = base + old - new
-        out[a] = 0.0
+    def deltas(self, j: int) -> np.ndarray:
+        r, a = self._rows, self.labels[:, j]
+        f, x = self._unit[j, 0], self._unit[j, 2:]
+        cnt, sums = self._stats[..., 0], self._stats[..., 2:]
+        # the unit's squared-norm sum enters one cluster and leaves another,
+        # so only the |sum|^2 / count terms change
+        old = np.einsum("rkd,rkd->rk", sums, sums) / np.maximum(cnt, 1.0)
+        grown = sums + x
+        out = old - np.einsum("rkd,rkd->rk", grown, grown) / (cnt + f)
+        rest = sums[r, a] - x
+        left = cnt[r, a] - f
+        base = old[r, a] - np.where(
+            left > 0, np.einsum("rd,rd->r", rest, rest) / np.maximum(left, 1.0), 0.0)
+        out += base[:, None]
+        out[r, a] = 0.0
         return out
 
-    def move(self, i: int, new_label: int) -> None:
-        a = int(self.labels[i]) - 1
-        b = new_label - 1
-        if a == b:
-            return
-        x_i = self._c._x[i]
-        self._cnt[a] -= 1
-        self._cnt[b] += 1
-        self._sums[a] -= x_i
-        self._sums[b] += x_i
-        t = self._c._sq[i]
-        self._sq[a] -= t
-        self._sq[b] += t
-        self.labels[i] = new_label
-
-    def move_group(self, members: np.ndarray, new_label: int) -> None:
-        a = int(self.labels[members[0]]) - 1
-        b = new_label - 1
-        if a == b:
-            return
-        f = members.size
-        s_f = self._c._x[members].sum(axis=0)
-        t_f = self._c._sq[members].sum()
-        self._cnt[a] -= f
-        self._cnt[b] += f
-        self._sums[a] -= s_f
-        self._sums[b] += s_f
-        self._sq[a] -= t_f
-        self._sq[b] += t_f
-        self.labels[members] = new_label
+    def shift(self, j, rows, old, new) -> None:
+        self._stats[rows, old] -= self._unit[j]
+        self._stats[rows, new] += self._unit[j]
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +292,12 @@ class PairwiseCost(CostFunction):
             total += np.where(cnt > 0, contrib, 0.0)
         return total
 
-    def site_state(self, labels: np.ndarray) -> "PairwiseState":
-        return PairwiseState(self, labels)
+    def replica_state(self, labels: np.ndarray, groups: np.ndarray | None = None) -> PairwiseReplicas:
+        """`groups` as for KMeansCost.replica_state."""
+        dissim, size = self._d, np.ones(self.n)
+        if groups is not None:
+            dissim, size = groups @ self._d @ groups.T, groups.sum(axis=1)
+        return PairwiseReplicas(dissim, size, labels, self.k)
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "PairwiseHalves":
         return PairwiseHalves(self, lo_masks, hi_masks)
@@ -313,75 +329,53 @@ class PairwiseHalves(SplitHalf):
         return total
 
 
-class PairwiseState(SiteState):
-    def __init__(self, cost: PairwiseCost, labels: np.ndarray):
-        self._c = cost
-        self.labels = np.asarray(labels, dtype=np.int64).copy()
-        k = cost.k
-        onehot = np.zeros((cost.n, k))
-        onehot[np.arange(cost.n), self.labels - 1] = 1.0
-        self._cnt = onehot.sum(axis=0)          # (k,)
-        self._rs = cost._d @ onehot             # (n, k): rs[i, v] = sum_{j in v} D_ij
-        self._w = (onehot * self._rs).sum(axis=0)  # (k,) ordered within-pair sums
+class PairwiseReplicas(ReplicaState):
+    """Per replica: row sums rs[r, j, v] of the unit dissimilarities from
+    unit j to cluster v (R, m + 1, k; the last row is the cluster sizes),
+    and ordered within-cluster pair sums W. Unit dissimilarities sum the object
+    dissimilarities between two units' objects; a unit's own entry is its
+    within-unit pair sum."""
+
+    def __init__(self, dissim: np.ndarray, size: np.ndarray, labels: np.ndarray, k: int):
+        self.labels, self.k = labels, k
+        m = labels.shape[1]
+        # one more row holds the unit sizes, so rs[:, m] is the cluster sizes
+        # and a move updates both with one column
+        self._cols = np.vstack([dissim, size])
+        self._size, self._self = size, np.diagonal(dissim).copy()
+        self._rows = np.arange(labels.shape[0])
+        onehot = _onehot(labels, k)
+        self._rs = np.matmul(self._cols, onehot)
+        self._cnt = self._rs[:, m]
+        self._w = np.einsum("rmk,rmk->rk", onehot, self._rs[:, :m])
 
     @property
-    def cost(self) -> float:
-        return float((self._w / np.maximum(2.0 * self._cnt, 1.0)).sum())
+    def cost(self) -> np.ndarray:
+        return (self._w / np.maximum(2.0 * self._cnt, 1.0)).sum(axis=1)
 
-    def deltas(self, i: int) -> np.ndarray:
-        return self._deltas_for(int(self.labels[i]) - 1, self._rs[i], 1, 0.0)
-
-    def group_deltas(self, members: np.ndarray) -> np.ndarray:
-        return self._deltas_for(
-            int(self.labels[members[0]]) - 1,
-            self._rs[members].sum(axis=0),
-            members.size,
-            float(self._c._d[np.ix_(members, members)].sum()),
-        )
-
-    def _deltas_for(self, a: int, r_f: np.ndarray, f: int, u: float) -> np.ndarray:
+    def deltas(self, j: int) -> np.ndarray:
+        r, a = self._rows, self.labels[:, j]
+        f, u = self._size[j], self._self[j]
         cnt, w = self._cnt, self._w
-        na = cnt[a] - f
-        base = -w[a] / (2.0 * cnt[a])
-        if na > 0:
-            base += (w[a] - 2.0 * r_f[a] + u) / (2.0 * na)
-        new = (w + 2.0 * r_f + u) / (2.0 * (cnt + f))
+        rj = self._rs[:, j]
         old = w / np.maximum(2.0 * cnt, 1.0)
-        out = base + new - old
-        out[a] = 0.0
+        out = (w + 2.0 * rj + u) / (2.0 * (cnt + f)) - old
+        left = cnt[r, a] - f
+        base = np.where(left > 0, (w[r, a] - 2.0 * rj[r, a] + u) / (2.0 * np.maximum(left, 1.0)),
+                        0.0) - old[r, a]
+        out += base[:, None]
+        out[r, a] = 0.0
         return out
 
-    def move(self, i: int, new_label: int) -> None:
-        a = int(self.labels[i]) - 1
-        b = new_label - 1
-        if a == b:
-            return
-        ra, rb = self._rs[i, a], self._rs[i, b]
-        col = self._c._d[:, i]
-        self._w[a] -= 2.0 * ra
-        self._w[b] += 2.0 * rb
-        self._cnt[a] -= 1
-        self._cnt[b] += 1
-        self._rs[:, a] -= col
-        self._rs[:, b] += col
-        self.labels[i] = new_label
-
-    def move_group(self, members: np.ndarray, new_label: int) -> None:
-        a = int(self.labels[members[0]]) - 1
-        b = new_label - 1
-        if a == b:
-            return
-        f = members.size
-        r_f = self._rs[members].sum(axis=0)
-        u = float(self._c._d[np.ix_(members, members)].sum())
-        col = self._c._d[:, members].sum(axis=1)
-        self._w[a] += -2.0 * r_f[a] + u
-        self._w[b] += 2.0 * r_f[b] + u
-        self._cnt[a] -= f
-        self._cnt[b] += f
-        self._rs[:, a] -= col
-        self._rs[:, b] += col
-        self.labels[members] = new_label
+    def shift(self, j, rows, old, new) -> None:
+        u = self._self[j]
+        rj = self._rs[rows, j]
+        at = np.arange(rows.size)
+        self._w[rows, old] += u - 2.0 * rj[at, old]
+        self._w[rows, new] += u + 2.0 * rj[at, new]
+        col = self._cols[:, j]
+        self._rs[rows, :, old] -= col
+        self._rs[rows, :, new] += col
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +386,7 @@ class JointCost(CostFunction):
     """R(c, X1) + R(pushforward(c), X2) as a cost over training assignments.
 
     Flipping training site j also flips every test site i with nu[i] = j, so
-    site moves on the second term are group moves over that fan-in set.
+    the second term's state has one unit per training site: that fan-in set.
     """
 
     def __init__(self, cost1: CostFunction, cost2: CostFunction, corr: Correspondence):
@@ -405,50 +399,41 @@ class JointCost(CostFunction):
         self.cost1 = cost1
         self.cost2 = cost2
         self.nu = corr.nu
-        self._groups = [np.flatnonzero(corr.nu == j) for j in range(corr.n)]
+        # groups[j, i] = 1 when test object i is pushed from training object j
+        self._groups = (corr.nu[None, :] == np.arange(corr.n)[:, None]).astype(np.float64)
 
     def evaluate(self, labels: np.ndarray) -> float:
         labels = np.asarray(labels)
         return self.cost1.evaluate(labels) + self.cost2.evaluate(labels[self.nu])
 
-    def site_state(self, labels: np.ndarray) -> "JointState":
-        return JointState(self, labels)
+    def replica_state(self, labels: np.ndarray) -> JointReplicas:
+        return JointReplicas(self.cost1.replica_state(labels),
+                             self.cost2.replica_state(labels, self._groups),
+                             self._groups.sum(axis=1))
 
 
-class JointState(SiteState):
-    def __init__(self, cost: JointCost, labels: np.ndarray):
-        self._c = cost
-        labels = np.asarray(labels, dtype=np.int64)
-        self._s1 = cost.cost1.site_state(labels)
-        self._s2 = cost.cost2.site_state(labels[cost.nu])
-        self.labels = self._s1.labels
+class JointReplicas(ReplicaState):
+    """The training state plus the test state over fan-in units, sharing
+    one labels array; a unit with an empty fan-in set contributes nothing."""
+
+    def __init__(self, s1: ReplicaState, s2: ReplicaState, fanin: np.ndarray):
+        self.labels, self.k = s1.labels, s1.k
+        self._s1, self._s2, self._fanin = s1, s2, fanin
 
     @property
-    def cost(self) -> float:
+    def cost(self) -> np.ndarray:
         return self._s1.cost + self._s2.cost
 
-    def deltas(self, i: int) -> np.ndarray:
-        out = self._s1.deltas(i)
-        grp = self._c._groups[i]
-        if grp.size == 1:
-            out = out + self._s2.deltas(int(grp[0]))
-        elif grp.size:
-            out = out + self._s2.group_deltas(grp)
+    def deltas(self, j: int) -> np.ndarray:
+        out = self._s1.deltas(j)
+        if self._fanin[j]:
+            out += self._s2.deltas(j)
         return out
 
-    def move(self, i: int, new_label: int) -> None:
-        self._s1.move(i, new_label)
-        grp = self._c._groups[i]
-        if grp.size == 1:
-            self._s2.move(int(grp[0]), new_label)
-        elif grp.size:
-            self._s2.move_group(grp, new_label)
-
-    def group_deltas(self, members: np.ndarray) -> np.ndarray:
-        raise NotImplementedError("joint states support single training-site moves only")
-
-    def move_group(self, members: np.ndarray, new_label: int) -> None:
-        raise NotImplementedError("joint states support single training-site moves only")
+    def shift(self, j, rows, old, new) -> None:
+        self._s1.shift(j, rows, old, new)
+        if self._fanin[j]:
+            self._s2.shift(j, rows, old, new)
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +442,13 @@ class JointState(SiteState):
 
 def erm_search(cost: CostFunction, restarts: int = 50, seed: int = 0) -> tuple[Assignment, float]:
     """Approximate empirical risk minimization: `restarts` greedy single-site
-    descents from uniform random starts; returns the best local optimum
-    found. The exact engine's table argmin is the global minimizer."""
-    n, k = cost.n, cost.k
-    best_cost = np.inf
-    best_labels = None
-    for r in range(restarts):
-        rng = derive_rng(seed, r)
-        state = cost.site_state(rng.integers(1, k + 1, size=n))
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n):
-                d = state.deltas(i)
-                b = int(np.argmin(d))
-                if d[b] < 0.0:
-                    state.move(i, b + 1)
-                    improved = True
-        final = cost.evaluate(state.labels)
-        if final < best_cost:
-            best_cost = final
-            best_labels = state.labels.copy()
-    return Assignment(labels=best_labels, k=k), float(best_cost)
+    descents from uniform random starts, run as one replica each; returns
+    the best local optimum found (the lowest restart index on ties). The
+    exact engine's table argmin is the global minimizer."""
+    starts = [derive_rng(seed, r).integers(1, cost.k + 1, size=cost.n) for r in range(restarts)]
+    state = cost.replica_state(np.stack(starts) - 1)
+    while state.sweep():
+        pass
+    finals = [cost.evaluate(labels + 1) for labels in state.labels]
+    best = int(np.argmin(finals))
+    return Assignment(labels=state.labels[best] + 1, k=cost.k), float(finals[best])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from ascoding.capacity import (
     _ExactEngine,
+    _sampled_warnings,
+    CandidateScore,
     CapacityConfig,
     CapacityCurve,
     CapacityPoint,
@@ -27,6 +30,7 @@ from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paire
 from ascoding.errors import BudgetError
 from ascoding.exact import enumerate_costs
 from ascoding.rng import derive_seed
+from ascoding.thermo import FreeEnergyCurve
 
 
 def vecs(*rows):
@@ -132,6 +136,16 @@ class TestCurveProperties:
         )
         for pe, ps in zip(exact_curve_n8.points, sampled.points):
             assert abs(pe.info - ps.info) <= 0.1
+
+    def test_sampled_ground_state_levels_have_zero_gamma(self):
+        # the top levels all sit in the ground state, whose replicas report
+        # costs a few ulps apart; that excess is gamma 0, not 5e-15
+        spec = MixtureSpec(n=12, d=3, k_true=3, noise_sigma=0.5, separation=8.0, seed=4,
+                           balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        curve = capacity_curve(x1, x2, "pairwise", 3, engine="sampled", cfg=CapacityConfig(
+            chains=2, sweeps_burnin=10, sweeps_measure=20, grid_points=16, restarts=10, seed=4))
+        assert [p.gamma for p in curve.points[-6:]] == [0.0] * 6
 
     def test_engine_auto_respects_budget(self, pair_n8):
         x1, x2 = pair_n8
@@ -351,3 +365,68 @@ class TestSelectModel:
         x1, x2 = pair_n8
         with pytest.raises(ValueError):
             select_model([], x1, x2)
+
+    def test_rounding_level_ties_keep_candidate_order(self):
+        # on vectors the pairwise cost equals k-means, so each k's two
+        # capacities are equal in exact arithmetic; pairwise-k3 comes out
+        # 3e-16 above kmeans-k3 from summation order alone
+        spec = MixtureSpec(n=12, d=3, k_true=3, noise_sigma=1.0, separation=5.0, seed=0,
+                           balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        cands = [(family, k) for family in ("kmeans", "pairwise") for k in (1, 2, 3)]
+        res = select_model(cands, x1, x2, engine="exact", cfg=CapacityConfig())
+        assert [(s.cost_family, s.k) for s in res.ranking] == [
+            ("kmeans", 3), ("pairwise", 3), ("kmeans", 2), ("pairwise", 2),
+            ("kmeans", 1), ("pairwise", 1)]
+
+
+class TestSampledSelfChecks:
+    """Each self-check on curves built to breach exactly that bound; n = 4,
+    k = 2, R1(ERM minimizer) = 1, its joint cost 2, log_nsigma = log 6."""
+
+    LOG4 = 4 * math.log(2)
+
+    def _curve(self, log_z, mean=(3.0, 2.0, 1.0), stderr=(0.1, 0.1, 0.1)):
+        return FreeEnergyCurve(betas=np.array([0.0, 1.0, 2.0]), log_z=np.array(log_z),
+                               mean_cost=np.array(mean), stderr=np.array(stderr), n=4, k=2)
+
+    def _warnings(self, z1=None, dz=None, mean2=(3.0, 2.0, 1.0), stderr2=(0.1, 0.1, 0.1)):
+        single = [self.LOG4, self.LOG4 - 2.5, self.LOG4 - 4.0]
+        curve1 = self._curve(z1 or single)
+        curve2 = self._curve(single, mean2, stderr2)
+        joint = self._curve(dz or [self.LOG4, self.LOG4 - 3.5, self.LOG4 - 6.0])
+        return _sampled_warnings(curve1, curve2, joint, 1.0, 2.0, math.log(6))
+
+    def test_clean_curves_pass(self):
+        assert self._warnings() == ()
+
+    def test_log_z1_below_ground_state_bound(self):
+        # -beta R1 = -2 at beta = 2; 0.3 nats short, beyond 0.05 n = 0.2
+        (msg,) = [w for w in self._warnings(z1=[self.LOG4, self.LOG4 - 2.5, -2.3])
+                  if w.startswith("logZ1 below")]
+        assert "by 0.3 at beta=2.0" in msg
+
+    def test_log_dz_below_joint_bound(self):
+        found = self._warnings(dz=[self.LOG4, self.LOG4 - 3.5, -4.3])
+        assert any(w.startswith("logDZ below") and "at beta=2.0" in w for w in found)
+
+    def test_info_above_its_ceiling(self):
+        # logDZ one nat above logZ1 + logZ2 at beta = 1: info 0.25 above log 6 / 4
+        lz1 = self.LOG4 - 2.5
+        found = self._warnings(dz=[self.LOG4, 2 * lz1 + 1.0, self.LOG4 - 6.0])
+        assert any(w.startswith("info above log_nsigma/n by 0.25") for w in found)
+
+    def test_mean_cost_rise(self):
+        assert self._warnings(mean2=(3.0, 1.0, 2.0)) == (
+            "logZ2 mean cost rises with beta beyond 2 stderr at 1 grid step",)
+        # a rise within 2 combined standard errors, and a single chain's curve
+        # (no standard error), pass
+        assert self._warnings(mean2=(3.0, 1.0, 1.2)) == ()
+        assert self._warnings(mean2=(3.0, 1.0, 2.0), stderr2=(0.0, 0.0, 0.0)) == ()
+
+    def test_warnings_reach_the_candidate_summary(self, exact_curve_n8):
+        clean = CandidateScore("kmeans", 2, 0.1, 0.0, 1.0, curve=exact_curve_n8)
+        assert "warnings" not in clean.summary()
+        flagged = dataclasses.replace(exact_curve_n8, warnings=("logZ1 below",))
+        score = dataclasses.replace(clean, curve=flagged)
+        assert score.summary()["warnings"] == ["logZ1 below"]

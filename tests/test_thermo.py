@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from ascoding.core import Correspondence, Dataset, build_correspondence
-from ascoding.costs import KMeansCost, PairwiseCost
+from ascoding.costs import JointCost, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.exact import (
     enumerate_costs,
@@ -17,8 +18,6 @@ from ascoding.thermo import (
     FreeEnergyCurve,
     GibbsConfig,
     default_beta_grid,
-    _sweep,
-    estimate_mean_cost,
     joint_thermo_integrate,
     thermo_integrate_logZ,
 )
@@ -63,28 +62,31 @@ class TestGibbsConfig:
 
 
 class TestGibbsSweep:
+    """The batched Gibbs kernel, `ReplicaState.sweep`, one replica per row."""
+
     def test_beta_zero_resamples_uniformly(self):
         cost = KMeansCost(vecs([0.0], [1.0], [5.0], [6.0]), 2)
         rng = derive_rng(1)
-        state = cost.site_state(np.array([1, 1, 1, 1]))
-        counts = np.zeros(2)
-        for _ in range(2000):
-            _sweep(state, 0.0, rng, cost.n)
-            counts[state.labels[0] - 1] += 1
-        # site 0 frequency ~ Binomial(2000, 1/2); allow 4 sigma
-        assert abs(counts[0] - 1000) < 4 * math.sqrt(2000 * 0.25)
+        replicas = 2000
+        state = cost.replica_state(np.zeros((replicas, 4), dtype=np.int64))
+        state.sweep(np.zeros(replicas), rng.random((replicas, 4)))
+        zeros = int((state.labels[:, 0] == 0).sum())
+        # site 0 label ~ Binomial(2000, 1/2) over replicas; allow 4 sigma
+        assert abs(zeros - 1000) < 4 * math.sqrt(2000 * 0.25)
 
     def test_zero_temperature_descends_and_freezes(self):
         data = vecs([0.0], [0.1], [10.0], [10.1])
         cost = KMeansCost(data, 2)
         rng = derive_rng(2)
-        state = cost.site_state(np.array([1, 2, 1, 2]))
+        state = cost.replica_state(np.array([[0, 1, 0, 1], [1, 1, 1, 1]]))
+        beta = np.full(2, 1e6)
         for _ in range(30):
-            _sweep(state, 1e6, rng, cost.n)
+            state.sweep(beta, rng.random((2, 4)))
         frozen = state.labels.copy()
-        assert cost.evaluate(frozen) == pytest.approx(0.01, abs=1e-9)
+        for labels in frozen:
+            assert cost.evaluate(labels + 1) == pytest.approx(0.01, abs=1e-9)
         for _ in range(10):
-            _sweep(state, 1e6, rng, cost.n)
+            assert state.sweep(beta, rng.random((2, 4))) == 0
         assert np.array_equal(state.labels, frozen)
 
     def test_detailed_balance_two_site_chain(self):
@@ -96,52 +98,110 @@ class TestGibbsSweep:
         weights = np.exp(-beta * table.costs)
         target = weights / weights.sum()
         rng = derive_rng(3)
-        state = cost.site_state(np.array([1, 1]))
+        replicas, sweeps = 2000, 50
+        state = cost.replica_state(np.zeros((replicas, 2), dtype=np.int64))
+        betas = np.full(replicas, beta)
+        for _ in range(5):  # burn-in from the all-zero start
+            state.sweep(betas, rng.random((replicas, 2)))
         counts = np.zeros(4)
-        sweeps = 100_000
         for _ in range(sweeps):
-            _sweep(state, beta, rng, 2)
-            idx = (state.labels[0] - 1) + 2 * (state.labels[1] - 1)
-            counts[idx] += 1
-        freq = counts / sweeps
+            state.sweep(betas, rng.random((replicas, 2)))
+            counts += np.bincount(state.labels[:, 0] + 2 * state.labels[:, 1], minlength=4)
+        freq = counts / (replicas * sweeps)
         # 3 sigma multinomial tolerance per state
-        tol = 3 * np.sqrt(target * (1 - target) / sweeps)
+        tol = 3 * np.sqrt(target * (1 - target) / (replicas * sweeps))
         assert np.all(np.abs(freq - target) <= tol + 0.005)
 
 
 class TestEstimateMeanCost:
+    """Point estimates of the Boltzmann mean cost at one beta: grid (0, beta)."""
+
     def test_beta_zero_matches_uniform_mean(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
         cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=10, sweeps_measure=400,
                           chains=4, seed=1)
-        mean, err = estimate_mean_cost(cost, 0.0, cfg)
+        curve = thermo_integrate_logZ(cost, cfg)
+        mean, err = curve.mean_cost[0], curve.stderr[0]
         assert abs(mean - exact_mean_cost(table, 0.0)) <= 3 * err + 0.05
 
     def test_matches_exact_oracle_mid_beta(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
-        cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=100, sweeps_measure=600,
-                          chains=4, seed=2)
         beta = 0.2
-        mean, err = estimate_mean_cost(cost, beta, cfg)
+        cfg = GibbsConfig(beta_grid=(0.0, beta), sweeps_burnin=100, sweeps_measure=600,
+                          chains=4, seed=2)
+        curve = thermo_integrate_logZ(cost, cfg)
+        mean, err = curve.mean_cost[1], curve.stderr[1]
         assert abs(mean - exact_mean_cost(table, beta)) <= 3 * err + 0.05
 
     def test_constant_zero_cost(self):
         cost = KMeansCost(vecs([1.0], [1.0], [1.0]), 2)
         cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=5, sweeps_measure=50,
                           chains=2, seed=0)
-        mean, err = estimate_mean_cost(cost, 1.0, cfg)
-        assert mean == 0.0 and err == 0.0
+        curve = thermo_integrate_logZ(cost, cfg)
+        assert curve.mean_cost[1] == 0.0 and curve.stderr[1] == 0.0
 
     def test_deterministic(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
-        cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=20, sweeps_measure=100,
+        cfg = GibbsConfig(beta_grid=(0.0, 0.5), sweeps_burnin=20, sweeps_measure=100,
                           chains=2, seed=9)
-        assert estimate_mean_cost(cost, 0.5, cfg) == estimate_mean_cost(cost, 0.5, cfg)
+        a, b = thermo_integrate_logZ(cost, cfg), thermo_integrate_logZ(cost, cfg)
+        assert np.array_equal(a.mean_cost, b.mean_cost)
+        assert np.array_equal(a.stderr, b.stderr)
+
+
+def _one_sample(costs, sweeps=200, chains=32):
+    """How far one sample can move a level's mean: at high beta every chain
+    may sit in the ground state for the whole run (zero spread), while the
+    exact mean carries excitations rarer than one in all the level's
+    samples."""
+    return (costs.max() - costs.min()) / (sweeps * chains)
+
+
+class TestReplicaExchangeMeans:
+    """At n <= 8 every level's chain-averaged mean cost matches the exact
+    Boltzmann mean from the full table within 4 standard errors. The error
+    is estimated from the spread of the chains, so there are enough of them
+    (32) for 4 of its units to mean about 4 sigma."""
+
+    @pytest.mark.parametrize("family,n,k,seed", [
+        ("kmeans", 6, 2, 0), ("pairwise", 6, 2, 1), ("kmeans", 6, 3, 2), ("pairwise", 6, 3, 3),
+    ])
+    def test_means_match_exact_boltzmann(self, family, n, k, seed):
+        spec = MixtureSpec(n=n, d=2, k_true=2, noise_sigma=1.0, separation=4.0, seed=seed,
+                           balanced=True)
+        x1, _, _ = draw_paired_samples(spec)
+        cost = KMeansCost(x1, k) if family == "kmeans" else \
+            PairwiseCost(dissimilarity_from_vectors(x1), k)
+        table = enumerate_costs(cost)
+        grid = default_beta_grid(cost, points=8, seed=seed)
+        curve = thermo_integrate_logZ(cost, GibbsConfig(
+            beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=seed))
+        exact = np.array([exact_mean_cost(table, b) for b in grid])
+        assert np.all(np.abs(curve.mean_cost - exact) <= 4 * curve.stderr
+                      + _one_sample(table.costs))
+
+    def test_joint_means_match_exact_boltzmann(self, instance):
+        x1, x2 = instance
+        c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
+        corr = build_correspondence(x1, x2)
+        joint = JointCost(c1, c2, corr)
+        costs = np.array([joint.evaluate(np.array(c))
+                          for c in itertools.product((1, 2), repeat=8)])
+        grid = default_beta_grid(joint, points=8, seed=0)
+        curve = thermo_integrate_logZ(joint, GibbsConfig(
+            beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=4))
+        low = costs.min()
+        exact = []
+        for b in grid:
+            w = np.exp(-b * (costs - low))
+            exact.append((costs * w).sum() / w.sum())
+        assert np.all(np.abs(curve.mean_cost - exact) <= 4 * curve.stderr
+                      + _one_sample(costs))
 
 
 class TestThermoIntegration:
