@@ -125,6 +125,11 @@ class CapacityConfig:
             raise ValueError("nsigma must be 'multinomial' or 'asymptotic'")
         if self.beta_grid is not None and not all(0.0 <= b < np.inf for b in self.beta_grid):
             raise ValueError(f"beta_grid must be finite and >= 0, got {self.beta_grid!r}")
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        for name in ("chains", "sweeps_burnin", "sweeps_measure", "restarts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def make_cost(cost_family: str, data: Dataset, k: int) -> CostFunction:
@@ -156,22 +161,22 @@ _GAMMA_RESOLUTION = 2.0**-44
 
 
 class _ExactEngine:
-    """Canonical-slice tables and reductions shared by the exact curve, the
-    point queries and the channel bound. Each sum over a slice is 1/k of the
-    full-table sum (see exact), so its log-partition adds log k."""
+    """Slice tables and reductions shared by the exact curve, the point
+    queries and the channel bound. Each sum over a slice is 1/k of the sum
+    over all k^n assignments (see exact), so its log-partition adds log k."""
 
     def __init__(self, table1: ex.CostTable, table2: ex.CostTable, corr: Correspondence):
-        self.table1, self.table2 = table1.canonical_slice(), table2.canonical_slice()
-        self.joint = ex.joint_cost_table(self.table1, self.table2, corr)
+        self.table1, self.table2 = table1, table2
+        self.joint = ex.joint_cost_table(table1, table2, corr)
         self.joint_min = float(self.joint.min())
         self.n, self.k = table1.n, table1.k
-        self.minimizer = Assignment(self.table1.minimizer_labels(), table1.k)
+        self.minimizer = Assignment(table1.minimizer_labels(), table1.k)
 
     @classmethod
     def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
                   budget: int) -> "_ExactEngine":
-        return cls(ex.enumerate_costs(cost1, budget=budget, canonical=True),
-                   ex.enumerate_costs(cost2, budget=budget, canonical=True), corr)
+        return cls(ex.enumerate_costs(cost1, budget=budget),
+                   ex.enumerate_costs(cost2, budget=budget), corr)
 
     def log_dz(self, beta: float) -> float:
         if beta == 0.0:

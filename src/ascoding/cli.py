@@ -104,11 +104,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    cfg = _capacity_config(args)
     out = _out_dir(args)
     train = load_dataset_csv(args.train)
     test = load_dataset_csv(args.test)
-    curve = capacity_curve(train, test, args.cost, args.k, engine=args.engine,
-                           cfg=_capacity_config(args))
+    curve = capacity_curve(train, test, args.cost, args.k, engine=args.engine, cfg=cfg)
     gamma_star, beta_star, info_star = optimal_gamma(curve)
     curve.write_csv(out / "capacity.csv")
     summary = {
@@ -126,14 +126,14 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_select(args) -> int:
+    cfg = _capacity_config(args)
     out = _out_dir(args)
     train = load_dataset_csv(args.train)
     test = load_dataset_csv(args.test)
     candidates = [(fam, k) for fam in args.cost.split(",") for k in _int_list(args.k)]
     if not candidates:
         raise ValueError("empty candidate list")
-    result = select_model(candidates, train, test, engine=args.engine,
-                          cfg=_capacity_config(args))
+    result = select_model(candidates, train, test, engine=args.engine, cfg=cfg)
     for score in result.ranking:
         score.curve.write_csv(out / f"curve_{score.cost_family}_k{score.k}.csv")
     _write_json(

@@ -14,15 +14,23 @@ through each codeword hypothesis. Rebuilding nearest neighbors against X~
 per codeword would let the receiver re-identify objects geometrically and
 thereby cancel the permutation algebraically, collapsing all codeword scores
 to the same value; the transported correspondence makes the sent codeword's
-score equal the canonical two-sample overlap that the capacity machinery
-estimates, and wrong codewords score at chance level.
+score equal the two-sample overlap that the capacity machinery estimates,
+and wrong codewords score at chance level.
+
+Every table is one label-symmetry slice (object 0 in cluster 1; see
+exact). Relabeling commutes with the push-forward, so the k relabelings of
+a training member land on the k relabelings of one received assignment:
+each slice member scores for k, and its push-forward is looked up on the
+received slice after shifting every label by minus the label that received
+object 0 inherits, that of training object nu[sigma[0]].
 
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: the
 training table, the correspondence and the bound's beta calibration are
-built once per trial (the calibration once per gamma, on the canonical
-slice of the same training table), and the received table once per
-codebook. A cell then scores all codewords with one gather.
+built once per trial (the calibration once per gamma, on the same training
+table), the k shifted member-digit matrices once per gamma, and the
+received table once per codebook. A cell then scores all codewords with
+one gather.
 """
 from __future__ import annotations
 
@@ -150,28 +158,46 @@ def _members(table: CostTable, gamma: float) -> np.ndarray:
     return table.costs <= table.r_min + gamma + GAMMA_SLACK
 
 
-def _member_digits(table: CostTable, gamma: float) -> np.ndarray:
-    """Label digits (0..k-1) of the table's gamma-approximation set, one row
-    per member in encoding order."""
-    return decode_indices(np.flatnonzero(_members(table, gamma)), table.n, table.k) - 1
+def _shifted_member_digits(table: CostTable, gamma: float) -> np.ndarray:
+    """k x members x n: the label digits (0..k-1) of the slice's
+    gamma-approximation set in encoding order, every digit shifted by -s
+    (mod k) in layer s."""
+    k = table.k
+    digits = decode_indices(np.flatnonzero(_members(table, gamma)) * k, table.n, k) - 1
+    shifted = digits[None] - np.arange(k)[:, None, None]
+    shifted %= k
+    return shifted
 
 
-def _codeword_weights(codebook: Codebook, corr: Correspondence, k: int) -> np.ndarray:
-    """Push-forward weights per codeword: received object i is test object
-    sigma[i], the image of training object nu[sigma[i]]."""
-    return pushforward_weights(corr.nu[codebook.sigmas], k)
+def _codeword_weights(codebook: Codebook, corr: Correspondence,
+                      k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slice-index weights per codeword, and the anchor object whose label
+    received object 0 inherits: received object i is test object sigma[i],
+    the image of training object nu[sigma[i]]. Received object 0 adds k^0 to
+    its anchor's push-forward weight and every other object a multiple of k,
+    so w // k weighs objects 1..n-1 by their place in the slice index."""
+    nu = corr.nu[codebook.sigmas]
+    return pushforward_weights(nu, k) // k, nu[:, 0]
 
 
-def _overlap_scores(member_r: np.ndarray, digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """For every codeword, how many training members (digit rows) land in
-    the received sample's approximation set when pushed forward with the
-    codeword's weights. Codewords are scored in groups whose index matrix
-    has at most _GATHER entries; at desk sizes that is one gather."""
-    step = max(1, _GATHER // max(1, len(digits)))
-    return np.concatenate([
-        member_r[digits @ weights[i : i + step].T].sum(axis=0)
-        for i in range(0, len(weights), step)
-    ])
+def _overlap_scores(member_r: np.ndarray, shifted: np.ndarray,
+                    codewords: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """For every codeword, how many training assignments in the
+    approximation set land in the received sample's when pushed forward:
+    k per slice member whose push-forward, shifted by minus the member's
+    label of the codeword's anchor object, is a received slice member.
+    Codewords are scored in groups whose k index matrices have at most
+    _GATHER entries; at desk sizes that is one gather."""
+    weights, anchors = codewords
+    k, members = shifted.shape[:2]
+    step = max(1, _GATHER // max(1, k * members))
+    scores = []
+    for i in range(0, len(weights), step):
+        index = shifted @ weights[i : i + step].T  # k x members x codewords
+        s = shifted[0][:, anchors[i : i + step]]  # the shift onto the slice
+        index = index.take(s * s.size + np.arange(s.size).reshape(s.shape))
+        scores.append(member_r[index].sum(axis=0))
+    return k * np.concatenate(scores)
 
 
 def transmit_and_decode(
@@ -197,7 +223,7 @@ def transmit_and_decode(
     table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
     table1 = enumerate_costs(make_cost(cost_family, train, k), budget=budget)
     corr = build_correspondence(train, fresh_test)
-    scores = _overlap_scores(_members(table_r, gamma), _member_digits(table1, gamma),
+    scores = _overlap_scores(_members(table_r, gamma), _shifted_member_digits(table1, gamma),
                              _codeword_weights(codebook, corr, k))
     decoded = int(np.argmax(scores))
     return TransmissionResult(
@@ -309,18 +335,18 @@ def error_rate_grid(
         table1 = enumerate_costs(make_cost(cost_family, x1, k), budget=budget)
         corr = build_correspondence(x1, x2)
         if compute_bound:
-            table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget, canonical=True)
+            table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget)
             eng = _ExactEngine(table1, table2, corr)
             log_ns = _log_nsigma_of(eng.minimizer, "multinomial")
             infos.append([eng.point_at_gamma(g, log_ns).info for g in gammas])
-        digits = [_member_digits(table1, g) for g in gammas]
+        shifted = [_shifted_member_digits(table1, g) for g in gammas]
         for cb, cb_rows in zip(codebooks, rows):
             sent = int(derive_rng(seed, t, 1).integers(cb.m))
             received = permute_dataset(x2, cb.sigmas[sent])
             table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
-            weights = _codeword_weights(cb, corr, k)
-            for gamma, d, cell in zip(gammas, digits, cb_rows):
-                scores = _overlap_scores(_members(table_r, gamma), d, weights)
+            codewords = _codeword_weights(cb, corr, k)
+            for gamma, d, cell in zip(gammas, shifted, cb_rows):
+                scores = _overlap_scores(_members(table_r, gamma), d, codewords)
                 cell.append(_trial_row(t, sent, scores))
     return [
         [

@@ -13,16 +13,16 @@ statistics of one low-half and one high-half assignment (see
 costs.SplitHalf) instead of decoding and scoring its label vector. The
 push-forward index of a training assignment is linear in its digits,
 sum_j digit_j * w_j with w_j = sum of k^i over test objects i mapped to j,
-so the joint table is table1 plus table2 gathered at p_lo[lo] + p_hi[hi].
+so the joint table is table1 plus table2 gathered at one term per half.
 
 Costs, memberships and overlaps do not change when the k clusters are
-relabeled. A canonical table keeps only the assignments with object 0 in
-cluster 1, every k-th entry of the full table (the low-half assignments
-lo_masks[:, ::k]). Each relabeling orbit meets that slice in exactly 1/k of
-its members, so partition functions and counts are k times the slice's,
-and Boltzmann averages are equal. The joint table of two canonical tables
-gathers table2 at the canonical form of each push-forward: every label
-shifted by minus the label of test object 0 (at k = 2, idx -> 2^n - 1 - idx).
+relabeled, so every table is one label-symmetry slice: the k^(n-1)
+assignments with object 0 in cluster 1, every k-th index of the encoding
+(the low-half assignments lo_masks[:, ::k]). Each relabeling orbit meets
+the slice in exactly 1/k of its members, so partition functions and counts
+are k times the slice's, and Boltzmann averages are equal. The joint table
+gathers table2 at the slice form of each push-forward: every label shifted
+by minus the label of test object 0 (at k = 2, idx -> 2^n - 1 - idx).
 
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
@@ -47,10 +47,8 @@ __all__ = [
     "approx_set_size",
     "exact_log_partition",
     "log_partition_of_costs",
-    "exact_mean_cost",
     "exact_moments",
     "joint_cost_table",
-    "exact_joint_log_partition",
     "exact_set_intersection",
 ]
 
@@ -83,49 +81,33 @@ def _lowest_in_orbit(indices: np.ndarray, n: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostTable:
-    """Costs of one cost function in encoding order: all k^n assignments, or
-    with canonical=True the k^(n-1) that put object 0 in cluster 1 (every
-    k-th entry of the full table). argmin_index is always a full-table
-    index, the lowest among exact ties; a canonical table takes the lowest
-    member of the tied entries' relabeling orbits, which is the full
-    table's whenever relabelings cost the same bits (at k <= 2 the cluster
-    costs add commutatively; at k >= 3 they are summed in label order, so
-    relabelings can differ by an ulp)."""
+    """Costs of one cost function on the slice: the k^(n-1) assignments with
+    object 0 in cluster 1, entry i holding encoding index k * i. argmin_index,
+    computed on first read, is an encoding index: the lowest member of the
+    relabeling orbits of the tied minima, which is the lowest tied index of
+    all k^n assignments whenever relabelings cost the same bits (at k <= 2
+    the cluster costs add commutatively; at k >= 3 they are summed in label
+    order, so relabelings can differ by an ulp)."""
 
     costs: np.ndarray
     n: int
     k: int
     r_min: float
-    argmin_index: int
-    canonical: bool = False
 
     @staticmethod
-    def from_costs(costs: np.ndarray, n: int, k: int, canonical: bool = False) -> "CostTable":
+    def from_costs(costs: np.ndarray, n: int, k: int) -> "CostTable":
         costs = np.ascontiguousarray(costs, dtype=np.float64)
-        size = k ** (n - 1) if canonical else k**n
-        if costs.size != size:
-            raise ValueError(f"table length {costs.size} != {size}")
+        if costs.size != k ** (n - 1):
+            raise ValueError(f"table length {costs.size} != {k ** (n - 1)}")
         costs.flags.writeable = False
-        arg = int(np.argmin(costs))  # lowest index among exact ties
-        r_min = float(costs[arg])
-        if canonical:
-            # every tied orbit meets the slice; its lowest member may not
-            tied = np.flatnonzero(costs == r_min) * k
-            arg = min(int(_lowest_in_orbit(tied[i : i + _BLOCK], n, k).min())
-                      for i in range(0, tied.size, _BLOCK))
-        return CostTable(costs=costs, n=n, k=k, r_min=r_min, argmin_index=arg,
-                         canonical=canonical)
+        return CostTable(costs=costs, n=n, k=k, r_min=float(costs.min()))
 
-    @property
-    def multiplicity(self) -> int:
-        """Full-table entries each stored entry stands for."""
-        return self.k if self.canonical else 1
-
-    def canonical_slice(self) -> "CostTable":
-        """The canonical table of a full one."""
-        if self.canonical:
-            return self
-        return CostTable.from_costs(self.costs[:: self.k], self.n, self.k, canonical=True)
+    @functools.cached_property
+    def argmin_index(self) -> int:
+        # every tied orbit meets the slice; its lowest member may not
+        tied = np.flatnonzero(self.costs == self.r_min) * self.k
+        return min(int(_lowest_in_orbit(tied[i : i + _BLOCK], self.n, self.k).min())
+                   for i in range(0, tied.size, _BLOCK))
 
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
@@ -157,22 +139,19 @@ def _low_half(n: int) -> int:
     return max(1, n // 2)
 
 
-def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET,
-                    canonical: bool = False) -> CostTable:
-    """Materialize the full cost table of a hypothesis class, or its
-    canonical slice, from the split-half statistics of the cost."""
+def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET) -> CostTable:
+    """Materialize the cost table of a hypothesis class on its slice from
+    the split-half statistics of the cost; budget bounds k^n."""
     if cost.k**cost.n > budget:
         raise BudgetError(f"k^n = {cost.k**cost.n} exceeds enumeration budget {budget}")
     h = _low_half(cost.n)
-    _, lo_masks = _half_labels(h, cost.k)
+    lo_masks = _half_labels(h, cost.k)[1][:, :: cost.k]
     _, hi_masks = _half_labels(cost.n - h, cost.k)
-    if canonical:
-        lo_masks = lo_masks[:, :: cost.k]
     halves = cost.split_half(lo_masks, hi_masks)
     out = np.empty((hi_masks.shape[1], lo_masks.shape[1]))
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = halves.block(lo, hi)
-    return CostTable.from_costs(out.ravel(), cost.n, cost.k, canonical)
+    return CostTable.from_costs(out.ravel(), cost.n, cost.k)
 
 
 def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
@@ -186,23 +165,19 @@ def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(nu.shape)
 
 
-def _pushforward_index(corr: Correspondence, n: int, k: int, canonical: bool):
+def _pushforward_index(corr: Correspondence, n: int, k: int):
     """index(hi, lo): for the block [hi, lo] of a table laid out as (hi, lo)
-    halves, the entries of a second table of the same form that hold the
-    push-forwards of its assignments."""
+    halves, the entries of a second table that hold the push-forwards of its
+    assignments."""
     h = _low_half(n)
     w = pushforward_weights(corr.nu, k)
-    lo_digits, _ = _half_labels(h, k)
     hi_digits, _ = _half_labels(n - h, k)
-    if not canonical:
-        p_lo, p_hi = lo_digits @ w[:h], hi_digits @ w[h:]
-        return lambda hi, lo: p_hi[hi, None] + p_lo[None, lo]
+    lo_digits = _half_labels(h, k)[0][::k]
     # Shifting every label by -s is a relabeling; with s the label of
     # training object j0 = nu[0], which test object 0 inherits, it puts the
     # push-forward on the slice. Test object 0 is the only one whose weight
     # k^0 is not a multiple of k, so the half without j0 contributes a
     # multiple of k at every shift, and the half with j0 does at its own s.
-    lo_digits = lo_digits[::k]
     shifts = np.arange(k)[:, None, None]
     q_lo = ((lo_digits - shifts) % k) @ w[:h] // k
     q_hi = ((hi_digits - shifts) % k) @ w[h:] // k
@@ -228,7 +203,7 @@ def approx_set_size(table: CostTable, gamma: float) -> int:
     """|{c : R(c) <= r_min + gamma}| with a small absolute slack on the
     threshold so boundary members are not lost to summation noise."""
     check_gamma(gamma)
-    return table.multiplicity * int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
+    return table.k * int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
 
 
 def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) -> list[float]:
@@ -267,8 +242,7 @@ def exact_log_partition(table: CostTable, beta: float) -> float:
     _check_beta(beta)
     if beta == 0.0:
         return table.n * float(np.log(table.k))
-    return log_partition_of_costs(table.costs, table.r_min, beta) + float(
-        np.log(table.multiplicity))
+    return log_partition_of_costs(table.costs, table.r_min, beta) + float(np.log(table.k))
 
 
 def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
@@ -280,13 +254,8 @@ def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
     variance = float(m2 / z) - excess * excess
     if beta == 0.0:
         return table.n * float(np.log(table.k)), excess, variance
-    log_z = float(-beta * table.r_min + np.log(z)) + float(np.log(table.multiplicity))
+    log_z = float(-beta * table.r_min + np.log(z)) + float(np.log(table.k))
     return log_z, excess, variance
-
-
-def exact_mean_cost(table: CostTable, beta: float) -> float:
-    """Boltzmann average of the cost at inverse temperature beta."""
-    return table.r_min + exact_moments(table, beta)[1]
 
 
 def _by_halves(table: CostTable) -> np.ndarray:
@@ -295,41 +264,20 @@ def _by_halves(table: CostTable) -> np.ndarray:
 
 
 def _check_pair(table1: CostTable, table2: CostTable) -> None:
-    if (table2.n, table2.k, table2.canonical) != (table1.n, table1.k, table1.canonical):
-        raise ValueError("tables must share n, k and canonical")
+    if (table2.n, table2.k) != (table1.n, table1.k):
+        raise ValueError("tables must share n and k")
 
 
 def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence) -> np.ndarray:
     """Combined costs R(c, X1) + R(pushforward(c), X2) over the training
     assignments c of table1, in its encoding order."""
     _check_pair(table1, table2)
-    index = _pushforward_index(corr, table1.n, table1.k, table1.canonical)
+    index = _pushforward_index(corr, table1.n, table1.k)
     costs1 = _by_halves(table1)
     out = np.empty(costs1.shape)
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = costs1[hi, lo] + table2.costs[index(hi, lo)]
     return out.ravel()
-
-
-def exact_joint_log_partition(
-    table1: CostTable,
-    cost2: CostFunction,
-    corr: Correspondence,
-    beta: float,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """log sum_c exp(-beta R(c, X1)) exp(-beta R(pushforward(c), X2)).
-
-    The sum runs over training assignments; when the correspondence is a
-    bijection this coincides with summing over test assignments.
-    """
-    _check_beta(beta)
-    if beta == 0.0:
-        return table1.n * float(np.log(table1.k))
-    table2 = enumerate_costs(cost2, budget=budget, canonical=table1.canonical)
-    combined = joint_cost_table(table1, table2, corr)
-    return log_partition_of_costs(combined, float(combined.min()), beta) + float(
-        np.log(table1.multiplicity))
 
 
 def exact_set_intersection(
@@ -344,11 +292,11 @@ def exact_set_intersection(
     _check_pair(table1, table2)
     thresh1 = table1.r_min + gamma + GAMMA_SLACK
     member2 = table2.costs <= table2.r_min + gamma + GAMMA_SLACK
-    index = _pushforward_index(corr, table1.n, table1.k, table1.canonical)
+    index = _pushforward_index(corr, table1.n, table1.k)
     costs1 = _by_halves(table1)
     count = 0
     for hi, lo in _blocks(*costs1.shape):
         sel = costs1[hi, lo] <= thresh1
         if sel.any():
             count += int(member2[index(hi, lo)[sel]].sum())
-    return table1.multiplicity * count
+    return table1.k * count

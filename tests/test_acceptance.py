@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from ascoding.capacity import CapacityConfig, capacity_curve, select_model
+from ascoding.capacity import CapacityConfig, _ExactEngine, capacity_curve, select_model
 from ascoding.cli import main as cli_main
 from ascoding.comms import error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
@@ -19,9 +19,8 @@ from ascoding.datagen import MixtureSpec, draw_paired_samples
 from ascoding.exact import (
     approx_set_size,
     enumerate_costs,
-    exact_joint_log_partition,
     exact_log_partition,
-    exact_mean_cost,
+    exact_moments,
     exact_set_intersection,
 )
 from ascoding.capacity import make_cost
@@ -57,11 +56,12 @@ def test_criterion_1_oracle_equivalence_partition_functions():
             cfg = GibbsConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=200,
                               chains=3, seed=11)
             table1 = enumerate_costs(c1)
+            eng = _ExactEngine(table1, enumerate_costs(c2), corr)
             curve = thermo_integrate_logZ(c1, cfg)
             err_z = max(abs(curve.log_z[i] - exact_log_partition(table1, b))
                         for i, b in enumerate(grid))
             joint = joint_thermo_integrate(c1, c2, corr, cfg)
-            err_dz = max(abs(joint.log_z[i] - exact_joint_log_partition(table1, c2, corr, b))
+            err_dz = max(abs(joint.log_z[i] - eng.log_dz(b))
                          for i, b in enumerate(grid))
             worst = max(worst, err_z, err_dz)
     elapsed = time.time() - t0
@@ -126,15 +126,15 @@ def test_criterion_4_monotonicity_suite():
         gammas = np.linspace(0.0, float(table.costs.max() - table.r_min) * 1.1, 25)
         sizes = [approx_set_size(table, g) for g in gammas]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-        assert sizes[-1] == table.costs.size
+        assert sizes[-1] == 2**8
 
         betas = np.geomspace(1e-3, 5.0, 12)
-        means = [exact_mean_cost(table, b) for b in betas]
+        means = [table.r_min + exact_moments(table, b)[1] for b in betas]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
         for b in (0.05, 0.5, 2.0):
             h = b * 1e-4
             fd = (exact_log_partition(table, b + h) - exact_log_partition(table, b - h)) / (2 * h)
-            assert fd == pytest.approx(-exact_mean_cost(table, b), rel=1e-4)
+            assert fd == pytest.approx(-(table.r_min + exact_moments(table, b)[1]), rel=1e-4)
 
         curve = capacity_curve(x1, x2, "kmeans", 2, engine="exact",
                                cfg=CapacityConfig(grid_points=15))
@@ -247,6 +247,7 @@ def test_criterion_8_intersection_bounds():
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
         t1, t2 = enumerate_costs(c1), enumerate_costs(c2)
+        eng = _ExactEngine(t1, t2, corr)
         span = float(t1.costs.max() - t1.r_min)
         for gamma in np.linspace(0.0, span, 12):
             assert exact_set_intersection(t1, t2, corr, gamma) <= approx_set_size(t1, gamma)
@@ -254,7 +255,7 @@ def test_criterion_8_intersection_bounds():
         for gamma in np.linspace(0.0, span, 8):
             assert exact_set_intersection(t1, t1, ident, gamma) == approx_set_size(t1, gamma)
         for beta in (0.0, 0.2, 1.0, 4.0):
-            gap = exact_joint_log_partition(t1, c2, corr, beta) - exact_log_partition(t1, beta)
+            gap = eng.log_dz(beta) - exact_log_partition(t1, beta)
             worst_gap = max(worst_gap, gap)
             assert gap <= 1e-12
     report(8, True, f"bounds hold on 5 instances; max(logDZ - logZ1) = {worst_gap:.2e}")

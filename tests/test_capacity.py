@@ -324,6 +324,14 @@ class TestCapacityConfig:
         with pytest.raises(ValueError, match="beta_grid"):
             CapacityConfig(beta_grid=grid)
 
+    @pytest.mark.parametrize("field, value", [
+        ("grid_points", 1), ("grid_points", 0), ("chains", 0), ("sweeps_burnin", 0),
+        ("sweeps_measure", 0), ("restarts", 0),
+    ])
+    def test_counts_below_their_minimum_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CapacityConfig(**{field: value})
+
 
 class TestSelectModel:
     def test_single_candidate(self, pair_n8):

@@ -268,6 +268,20 @@ class TestErrorPaths:
                  "--out", tmp_path / "x")
         assert rc == 2
 
+    @pytest.mark.parametrize("engine, flag, value", [
+        ("exact", "--grid-points", 0), ("sampled", "--grid-points", 0),
+        ("sampled", "--restarts", 0), ("sampled", "--chains", 0), ("sampled", "--burnin", 0),
+    ])
+    def test_bad_sampler_settings_exit_2(self, dataset_dir, tmp_path, engine, flag, value):
+        # a setting no candidate can run with is a configuration error, not
+        # a failure of every candidate
+        out = tmp_path / "x"
+        rc = run("select", "--train", dataset_dir / "train.csv",
+                 "--test", dataset_dir / "test.csv", "--cost", "kmeans", "--k", 2,
+                 "--engine", engine, flag, value, "--out", out)
+        assert rc == 2
+        assert not out.exists()
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv(ENV_OUTPUT_DIR, str(target))

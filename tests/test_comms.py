@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ascoding import comms
 from ascoding.capacity import exact_point_at_gamma, make_cost
 from ascoding.comms import (
+    Codebook,
     TrialRow,
     error_bound,
     error_rate_grid,
@@ -19,7 +21,7 @@ from ascoding.comms import (
 from ascoding.core import Dataset, build_correspondence
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import enumerate_costs, exact_set_intersection
+from ascoding.exact import GAMMA_SLACK, decode_indices, enumerate_costs, exact_set_intersection
 from ascoding.rng import derive_rng, derive_seed
 
 
@@ -112,7 +114,57 @@ def oracle_scores(codebook, sent_index, train, fresh_test, k, gamma):
     return scores
 
 
+def reference_decoder_scores(codebook, sent_index, train, fresh_test, family, k, gamma):
+    """Full-table decoder: every label vector decoded and scored by
+    evaluate_batch on both samples, each training member pushed forward by
+    labels[nu[sigma]] and counted if it is a received member."""
+    n = train.n
+    labels = decode_indices(np.arange(k**n), n, k)
+    received = permute_dataset(fresh_test, codebook.sigmas[sent_index])
+    costs1 = make_cost(family, train, k).evaluate_batch(labels)
+    costs_r = make_cost(family, received, k).evaluate_batch(labels)
+    members1 = labels[costs1 <= costs1.min() + gamma + GAMMA_SLACK]
+    member_r = costs_r <= costs_r.min() + gamma + GAMMA_SLACK
+    nu = build_correspondence(train, fresh_test).nu
+    radix = k ** np.arange(n)
+    return [int(member_r[(members1[:, nu[sigma]] - 1) @ radix].sum())
+            for sigma in codebook.sigmas]
+
+
+@st.composite
+def channel_uses(draw):
+    """(codebook, sent, train, test, family, k) for n = 1..8 and k = 1..4 on
+    small integral vectors: duplicate points and exactly tied costs."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 4))
+    assume(k**n <= 3**8)
+    d = draw(st.integers(1, 2))
+    point = st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d)
+    train, test = (Dataset.from_vectors(np.array(draw(st.lists(point, min_size=n, max_size=n))))
+                   for _ in range(2))
+    others = draw(st.lists(st.permutations(range(n)), max_size=5, unique_by=tuple))
+    sigmas = [list(range(n))] + [p for p in others if p != list(range(n))]
+    codebook = Codebook(sigmas=np.array(sigmas), rate_bits=0.0, seed=0)
+    sent = draw(st.integers(0, codebook.m - 1))
+    family = draw(st.sampled_from(["kmeans", "pairwise"]))
+    return codebook, sent, train, test, family, k
+
+
 class TestTransmitAndDecode:
+    @settings(max_examples=150, deadline=None)
+    @given(use=channel_uses())
+    def test_slice_decoder_matches_full_table_reference(self, use):
+        codebook, sent, train, test, family, k = use
+        received = permute_dataset(test, codebook.sigmas[sent])
+        gaps = np.unique(np.concatenate([
+            (t.costs - t.r_min) for t in (enumerate_costs(make_cost(family, train, k)),
+                                          enumerate_costs(make_cost(family, received, k)))]))
+        # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
+        for gamma in (*gaps[:4], gaps[-1], math.inf):
+            res = transmit_and_decode(codebook, sent, train, test, family, k, gamma)
+            assert res.overlap_scores.tolist() == reference_decoder_scores(
+                codebook, sent, train, test, family, k, gamma)
+
     def test_noise_free_decodes_exactly(self, blob_pair):
         # X2 = X1: distinct permuted problems -> the sent codeword is the
         # unique maximal overlap (codebook seed checked collision-free)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,9 +16,8 @@ from ascoding.exact import (
     approx_set_size,
     decode_indices,
     enumerate_costs,
-    exact_joint_log_partition,
     exact_log_partition,
-    exact_mean_cost,
+    exact_moments,
     exact_set_intersection,
     joint_cost_table,
 )
@@ -30,6 +30,16 @@ def vecs(*rows):
 def encode(labels, k):
     """m x n label matrix -> table indices, object 0 least significant."""
     return (labels - 1) @ k ** np.arange(labels.shape[1])
+
+
+def mean_cost(table, beta):
+    """Boltzmann average of the cost at beta."""
+    return table.r_min + exact_moments(table, beta)[1]
+
+
+def joint_log_partition(table1, cost2, corr, beta):
+    """log dZ(beta) of the engine built on table1 and cost2's table."""
+    return _ExactEngine(table1, enumerate_costs(cost2), corr).log_dz(beta)
 
 
 def all_assignments(n, k):
@@ -57,17 +67,19 @@ def gaussian_pair():
 
 class TestEnumerate:
     def test_shapes(self):
-        table = enumerate_costs(KMeansCost(vecs([0.0]), 2))
-        assert table.costs.size == 2
+        cost = KMeansCost(vecs([0.0]), 2)
+        table = enumerate_costs(cost)
+        assert np.array_equal(table.costs, reference_table(cost).costs[::2])
 
     def test_three_points(self, three_point_table):
-        assert three_point_table.costs.size == 8
+        assert three_point_table.costs.size == 4
         assert three_point_table.r_min == pytest.approx(0.5)
 
     def test_matches_independent_evaluation(self, three_point_table):
+        # the slice holds every k-th encoding index: object 0 in cluster 1
         cost = KMeansCost(vecs([0.0], [1.0], [4.0]), 2)
-        for idx, labels in enumerate(all_assignments(3, 2)):
-            assert three_point_table.costs[idx] == pytest.approx(cost.evaluate(labels))
+        full = [cost.evaluate(labels) for labels in all_assignments(3, 2)]
+        assert three_point_table.costs.tolist() == pytest.approx(full[::2])
 
     def test_constant_zero_cost(self):
         table = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
@@ -91,8 +103,13 @@ class TestApproxSetSize:
         assert approx_set_size(three_point_table, np.inf) == 8
 
     def test_unique_minimizer(self):
-        table = CostTable.from_costs(np.array([3.0, 1.0, 2.0, 5.0]), n=2, k=2)
-        assert approx_set_size(table, 0.0) == 1
+        # one minimizing partition of three points: the slice keeps one of
+        # its two labelings
+        cost = KMeansCost(vecs([0.0], [1.0], [5.0]), 2)
+        ref = reference_table(cost)
+        table = CostTable.from_costs(ref.costs[::2], n=3, k=2)
+        assert (table.costs == table.r_min).sum() == 1
+        assert approx_set_size(table, 0.0) == reference_size(ref, 0.0) == 2
 
     def test_nondecreasing_in_gamma(self, three_point_table):
         sizes = [approx_set_size(three_point_table, g) for g in np.linspace(0, 20, 40)]
@@ -114,7 +131,9 @@ class TestLogPartition:
 
     def test_direct_summation(self, three_point_table):
         beta = 1.3
-        direct = math.log(sum(math.exp(-beta * c) for c in three_point_table.costs))
+        full = reference_table(KMeansCost(vecs([0.0], [1.0], [4.0]), 2)).costs
+        assert np.array_equal(three_point_table.costs, full[::2])
+        direct = math.log(sum(math.exp(-beta * c) for c in full))
         assert exact_log_partition(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
 
     def test_constant_zero(self):
@@ -132,22 +151,22 @@ class TestLogPartition:
 
 class TestMeanCost:
     def test_beta_zero_is_arithmetic_mean(self, three_point_table):
-        assert exact_mean_cost(three_point_table, 0.0) == pytest.approx(
+        assert mean_cost(three_point_table, 0.0) == pytest.approx(
             three_point_table.costs.mean()
         )
 
     def test_ground_state_limit(self, three_point_table):
-        assert exact_mean_cost(three_point_table, 1e4) == pytest.approx(0.5)
+        assert mean_cost(three_point_table, 1e4) == pytest.approx(0.5)
 
     def test_direct_summation(self, three_point_table):
         beta = 1.0
         w = [math.exp(-beta * c) for c in three_point_table.costs]
         direct = sum(c * wi for c, wi in zip(three_point_table.costs, w)) / sum(w)
-        assert exact_mean_cost(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
+        assert mean_cost(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
 
     def test_nonincreasing_in_beta(self, three_point_table):
         betas = np.linspace(0, 8, 50)
-        vals = [exact_mean_cost(three_point_table, b) for b in betas]
+        vals = [mean_cost(three_point_table, b) for b in betas]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_derivative_of_log_partition(self, three_point_table):
@@ -158,7 +177,7 @@ class TestMeanCost:
                 exact_log_partition(three_point_table, beta + h)
                 - exact_log_partition(three_point_table, beta - h)
             ) / (2 * h)
-            assert fd == pytest.approx(-exact_mean_cost(three_point_table, beta), rel=1e-4)
+            assert fd == pytest.approx(-mean_cost(three_point_table, beta), rel=1e-4)
 
 
 class TestJointPartition:
@@ -167,12 +186,12 @@ class TestJointPartition:
         cost = KMeansCost(data, 2)
         corr = Correspondence.identity(3)
         for beta in (0.3, 1.0, 2.5):
-            got = exact_joint_log_partition(three_point_table, cost, corr, beta)
+            got = joint_log_partition(three_point_table, cost, corr, beta)
             assert got == pytest.approx(exact_log_partition(three_point_table, 2 * beta), rel=1e-12)
 
     def test_beta_zero(self, three_point_table):
         cost = KMeansCost(vecs([0.0], [1.0], [4.0]), 2)
-        got = exact_joint_log_partition(three_point_table, cost, Correspondence.identity(3), 0.0)
+        got = joint_log_partition(three_point_table, cost, Correspondence.identity(3), 0.0)
         assert got == 3 * math.log(2)
 
     def test_two_sample_oracle(self, gaussian_pair):
@@ -186,7 +205,7 @@ class TestJointPartition:
             math.exp(-beta * c1.evaluate(c)) * math.exp(-beta * c2.evaluate(c[corr.nu]))
             for c in all_assignments(6, 2)
         ))
-        got = exact_joint_log_partition(table1, c2, corr, beta)
+        got = joint_log_partition(table1, c2, corr, beta)
         assert got == pytest.approx(direct, rel=1e-10)
 
     def test_bounded_by_single_sample(self, gaussian_pair):
@@ -196,7 +215,7 @@ class TestJointPartition:
         table1 = enumerate_costs(c1)
         for beta in (0.1, 0.6, 2.0, 5.0):
             assert (
-                exact_joint_log_partition(table1, c2, corr, beta)
+                joint_log_partition(table1, c2, corr, beta)
                 <= exact_log_partition(table1, beta) + 1e-12
             )
 
@@ -243,24 +262,53 @@ class TestSetIntersection:
 # ---------------------------------------------------------------------------
 
 def reference_table(cost):
-    """Every label vector decoded and scored by evaluate_batch."""
+    """The full k^n table: every label vector decoded and scored by
+    evaluate_batch; argmin_index is the lowest index among exact ties."""
     labels = decode_indices(np.arange(cost.k**cost.n), cost.n, cost.k)
-    return CostTable.from_costs(cost.evaluate_batch(labels), cost.n, cost.k)
+    costs = cost.evaluate_batch(labels)
+    arg = int(np.argmin(costs))
+    return SimpleNamespace(costs=costs, n=cost.n, k=cost.k, r_min=float(costs[arg]),
+                           argmin_index=arg, minimizer_labels=lambda: labels[arg])
 
 
-def reference_pushed(indices, nu, n, k):
+def reference_size(ref, gamma):
+    return int((ref.costs <= ref.r_min + gamma + GAMMA_SLACK).sum())
+
+
+def full_pushed(indices, nu, n, k):
+    """Encoding indices of the push-forwards of encoding indices."""
     return encode(decode_indices(indices, n, k)[:, nu], k)
 
 
+def slice_pushed(entries, nu, n, k):
+    """Slice entries of the push-forwards of slice entries: decoded, carried
+    through nu, relabeled so that object 0 is in cluster 1, encoded."""
+    labels = decode_indices(np.asarray(entries) * k, n, k)[:, nu]
+    return encode((labels - labels[:, :1]) % k + 1, k) // k
+
+
 def reference_joint(table1, table2, nu):
+    """Joint costs over slice tables, in table1's order."""
     idx = np.arange(table1.costs.size)
-    return table1.costs + table2.costs[reference_pushed(idx, nu, table1.n, table1.k)]
+    return table1.costs + table2.costs[slice_pushed(idx, nu, table1.n, table1.k)]
+
+
+def reference_full_joint(ref1, ref2, nu):
+    idx = np.arange(ref1.costs.size)
+    return ref1.costs + ref2.costs[full_pushed(idx, nu, ref1.n, ref1.k)]
 
 
 def reference_intersection(table1, table2, nu, gamma):
+    """Intersection count over slice tables: k per slice member."""
     sel = np.flatnonzero(table1.costs <= table1.r_min + gamma + GAMMA_SLACK)
-    pushed = reference_pushed(sel, nu, table1.n, table1.k)
-    return int((table2.costs[pushed] <= table2.r_min + gamma + GAMMA_SLACK).sum())
+    pushed = slice_pushed(sel, nu, table1.n, table1.k)
+    return table1.k * int((table2.costs[pushed] <= table2.r_min + gamma + GAMMA_SLACK).sum())
+
+
+def reference_full_intersection(ref1, ref2, nu, gamma):
+    sel = np.flatnonzero(ref1.costs <= ref1.r_min + gamma + GAMMA_SLACK)
+    pushed = full_pushed(sel, nu, ref1.n, ref1.k)
+    return int((ref2.costs[pushed] <= ref2.r_min + gamma + GAMMA_SLACK).sum())
 
 
 @st.composite
@@ -301,15 +349,16 @@ class TestSplitHalfAgainstReference:
         cost1, cost2, nu, integral, scale = inst
         for cost in (cost1, cost2):
             new, ref = enumerate_costs(cost), reference_table(cost)
-            assert np.abs(new.costs - ref.costs).max() <= 1e-12 * scale
+            k = cost.k
+            assert np.abs(new.costs - ref.costs[::k]).max() <= 1e-12 * scale
+            assert ref.costs[new.argmin_index] <= ref.r_min + 2e-12 * scale
             if integral:
-                # exact arithmetic: same ties, so the same lowest-index argmin
-                assert np.array_equal(new.costs, ref.costs)
-                assert new.argmin_index == ref.argmin_index
+                # exact arithmetic: the slice is every k-th entry
+                assert np.array_equal(new.costs, ref.costs[::k])
+                if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
+                    assert new.argmin_index == ref.argmin_index
                 for gap in np.unique(ref.costs - ref.r_min):
-                    assert approx_set_size(new, gap) == approx_set_size(ref, gap)
-            else:
-                assert ref.costs[new.argmin_index] <= ref.r_min + 2e-12 * scale
+                    assert approx_set_size(new, gap) == reference_size(ref, gap)
 
     @settings(max_examples=150, deadline=None)
     @given(inst=instances())
@@ -328,7 +377,7 @@ class TestSplitHalfAgainstReference:
         for n, k in ((1, 1), (1, 3), (2, 4), (3, 4)):
             x = vecs(*[[float(i)] for i in range(n)])
             cost = KMeansCost(x, k)
-            assert np.array_equal(enumerate_costs(cost).costs, reference_table(cost).costs)
+            assert np.array_equal(enumerate_costs(cost).costs, reference_table(cost).costs[::k])
 
     def test_blocks_tile_large_halves(self, monkeypatch):
         # halves wider than one block exercise the tiling along both axes
@@ -338,20 +387,21 @@ class TestSplitHalfAgainstReference:
         x1, x2, _ = draw_paired_samples(MixtureSpec(n=9, d=2, k_true=2, noise_sigma=1.0,
                                                     separation=3.0, seed=5))
         for cost in (KMeansCost(x1, 3), PairwiseCost(dissimilarity_from_vectors(x1), 2)):
-            assert np.abs(enumerate_costs(cost).costs - reference_table(cost).costs).max() < 1e-9
+            ref = reference_table(cost).costs[:: cost.k]
+            assert np.abs(enumerate_costs(cost).costs - ref).max() < 1e-9
         t1, t2 = enumerate_costs(KMeansCost(x1, 2)), enumerate_costs(KMeansCost(x2, 2))
         corr = build_correspondence(x1, x2)
         assert np.array_equal(joint_cost_table(t1, t2, corr), reference_joint(t1, t2, corr.nu))
         assert exact_set_intersection(t1, t2, corr, 3.0) == \
             reference_intersection(t1, t2, corr.nu, 3.0)
         for beta in (0.0, 0.7):
-            assert exact_mean_cost(t1, beta) == pytest.approx(
+            assert mean_cost(t1, beta) == pytest.approx(
                 float((t1.costs * np.exp(-beta * t1.costs)).sum()
                       / np.exp(-beta * t1.costs).sum()), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# canonical slice (object 0 in cluster 1) against the full-table reference
+# slice tables (object 0 in cluster 1) against the full-table reference
 # ---------------------------------------------------------------------------
 
 def reference_moments(costs, beta):
@@ -372,7 +422,7 @@ class TestCanonicalSliceAgainstFull:
         eng = _ExactEngine.enumerate(cost1, cost2, Correspondence(nu=nu, n=n),
                                      CapacityConfig().budget)
         ref1, ref2 = reference_table(cost1), reference_table(cost2)
-        joint = reference_joint(ref1, ref2, nu)
+        joint = reference_full_joint(ref1, ref2, nu)
         assert eng.table1.costs.size == eng.joint.size == k ** (n - 1)
         assert np.abs(eng.joint - joint[::k]).max() <= 1e-12 * scale
         if integral:  # same arithmetic: the slice is every k-th entry
@@ -399,21 +449,21 @@ class TestCanonicalSliceAgainstFull:
         cost1, cost2, nu, integral, _ = inst
         assume(integral)
         corr = Correspondence(nu=nu, n=cost1.n)
-        full1, full2 = enumerate_costs(cost1), enumerate_costs(cost2)
-        can1, can2 = full1.canonical_slice(), enumerate_costs(cost2, canonical=True)
+        full1, full2 = reference_table(cost1), reference_table(cost2)
+        can1, can2 = enumerate_costs(cost1), enumerate_costs(cost2)
         gaps = np.unique(np.concatenate([full1.costs - full1.r_min, full2.costs - full2.r_min]))
         for gamma in (*gaps[:6], *gaps[-2:]):
-            assert approx_set_size(can1, gamma) == approx_set_size(full1, gamma)
+            assert approx_set_size(can1, gamma) == reference_size(full1, gamma)
             assert exact_set_intersection(can1, can2, corr, gamma) == \
-                exact_set_intersection(full1, full2, corr, gamma)
+                reference_full_intersection(full1, full2, nu, gamma)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 4), (3, 4), (4, 2)])
     def test_k_above_n_and_tied_partitions(self, n, k):
         # every point at 0 ties all partitions: the slice keeps the lowest
         # full index, the all-ones labeling
         for x in (vecs(*[[float(i)] for i in range(n)]), vecs(*[[0.0]] * n)):
-            full = enumerate_costs(KMeansCost(x, k))
-            can = enumerate_costs(KMeansCost(x, k), canonical=True)
+            full = reference_table(KMeansCost(x, k))
+            can = enumerate_costs(KMeansCost(x, k))
             assert np.array_equal(can.costs, full.costs[::k])
             assert can.argmin_index == full.argmin_index
-            assert can.multiplicity * can.costs.size == full.costs.size
+            assert can.k * can.costs.size == full.costs.size

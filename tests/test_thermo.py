@@ -4,15 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from ascoding.capacity import _ExactEngine
 from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import JointCost, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
-from ascoding.exact import (
-    enumerate_costs,
-    exact_joint_log_partition,
-    exact_log_partition,
-    exact_mean_cost,
-)
+from ascoding.exact import decode_indices, enumerate_costs, exact_log_partition, exact_moments
 from ascoding.rng import derive_rng
 from ascoding.thermo import (
     FreeEnergyCurve,
@@ -25,6 +21,11 @@ from ascoding.thermo import (
 
 def vecs(*rows):
     return Dataset.from_vectors(np.array(rows, dtype=float))
+
+
+def mean_cost(table, beta):
+    """Boltzmann average of the cost at beta."""
+    return table.r_min + exact_moments(table, beta)[1]
 
 
 @pytest.fixture(scope="module")
@@ -94,8 +95,9 @@ class TestGibbsSweep:
         data = vecs([0.0], [1.0])
         cost = KMeansCost(data, 2)
         beta = 1.7
-        table = enumerate_costs(cost)
-        weights = np.exp(-beta * table.costs)
+        costs = cost.evaluate_batch(decode_indices(np.arange(4), 2, 2))  # all four states
+        assert np.array_equal(enumerate_costs(cost).costs, costs[::2])
+        weights = np.exp(-beta * costs)
         target = weights / weights.sum()
         rng = derive_rng(3)
         replicas, sweeps = 2000, 50
@@ -124,7 +126,7 @@ class TestEstimateMeanCost:
                           chains=4, seed=1)
         curve = thermo_integrate_logZ(cost, cfg)
         mean, err = curve.mean_cost[0], curve.stderr[0]
-        assert abs(mean - exact_mean_cost(table, 0.0)) <= 3 * err + 0.05
+        assert abs(mean - mean_cost(table, 0.0)) <= 3 * err + 0.05
 
     def test_matches_exact_oracle_mid_beta(self, instance):
         x1, _ = instance
@@ -135,7 +137,7 @@ class TestEstimateMeanCost:
                           chains=4, seed=2)
         curve = thermo_integrate_logZ(cost, cfg)
         mean, err = curve.mean_cost[1], curve.stderr[1]
-        assert abs(mean - exact_mean_cost(table, beta)) <= 3 * err + 0.05
+        assert abs(mean - mean_cost(table, beta)) <= 3 * err + 0.05
 
     def test_constant_zero_cost(self):
         cost = KMeansCost(vecs([1.0], [1.0], [1.0]), 2)
@@ -181,7 +183,7 @@ class TestReplicaExchangeMeans:
         grid = default_beta_grid(cost, points=8, seed=seed)
         curve = thermo_integrate_logZ(cost, GibbsConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=seed))
-        exact = np.array([exact_mean_cost(table, b) for b in grid])
+        exact = np.array([mean_cost(table, b) for b in grid])
         assert np.all(np.abs(curve.mean_cost - exact) <= 4 * curve.stderr
                       + _one_sample(table.costs))
 
@@ -259,11 +261,9 @@ class TestJointIntegration:
         x1, x2 = instance
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        table1 = enumerate_costs(c1)
+        eng = _ExactEngine(enumerate_costs(c1), enumerate_costs(c2), corr)
         curve = joint_thermo_integrate(c1, c2, corr, cfg_for)
-        exact = np.array(
-            [exact_joint_log_partition(table1, c2, corr, b) for b in curve.betas]
-        )
+        exact = np.array([eng.log_dz(b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
 
