@@ -15,7 +15,6 @@ precision is the grid point of maximal info.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +29,19 @@ from .core import (
     log_type_class_size,
     type_distribution,
 )
-from .costs import DEFAULT_BUDGET, CostFunction, KMeansCost, PairwiseCost, erm_search
+from .costs import (
+    COST_RESOLUTION,
+    DEFAULT_BUDGET,
+    CostFunction,
+    JointCost,
+    KMeansCost,
+    PairwiseCost,
+    erm_search,
+)
 from .datagen import dissimilarity_from_vectors, write_csv_rows
 from .errors import BudgetError
 from .rng import derive_seed
-from .thermo import (
-    FreeEnergyCurve,
-    GibbsConfig,
-    default_beta_grid,
-    joint_thermo_integrate,
-    thermo_integrate_logZ,
-)
+from .thermo import FreeEnergyCurve, GibbsConfig, default_beta_grid, thermo_integrate_logZ
 
 __all__ = [
     "CapacityPoint",
@@ -50,6 +51,7 @@ __all__ = [
     "SelectionResult",
     "make_cost",
     "capacity_curve",
+    "exact_points",
     "exact_point_at_gamma",
     "optimal_gamma",
     "select_model",
@@ -96,10 +98,6 @@ class CapacityCurve:
         """Info-maximizing point; ties resolve toward smaller gamma."""
         return min(self.points, key=lambda p: (-p.info, p.gamma))
 
-    @property
-    def total_nats(self) -> float:
-        return self.best.info * self.n
-
     def write_csv(self, path: str) -> None:
         write_csv_rows(path, "beta,gamma,logZ1,logZ2,logDZ,log_nsigma,info",
                        ((p.beta, p.gamma, p.log_z1, p.log_z2, p.log_dz, p.log_nsigma, p.info)
@@ -144,129 +142,24 @@ def make_cost(cost_family: str, data: Dataset, k: int) -> CostFunction:
     raise ValueError(f"unknown cost family {cost_family!r}; expected one of {COST_FAMILIES}")
 
 
-def _resolve_corr(train: Dataset, test: Dataset, corr: Correspondence | None) -> Correspondence:
-    return corr if corr is not None else build_correspondence(train, test)
-
-
 def _log_nsigma_of(minimizer: Assignment, nsigma: str) -> float:
     return log_type_class_size(type_distribution(minimizer), asymptotic=nsigma == "asymptotic")
 
 
-_NEWTON_TOL = 2.0**-50  # relative Newton step at which beta_for_gamma stops
-# a gamma target below this share of |r_min| + span is raised to it: costs
-# carry rounding noise of a few ulps (at k >= 3 relabelings of one partition
-# sum their clusters in different orders), and calibrating below that noise
-# would need a beta so large that the log-partitions lose all precision
-_GAMMA_RESOLUTION = 2.0**-44
-
-
-class _ExactEngine:
-    """Slice tables and reductions shared by the exact curve, the point
-    queries and the channel bound. Each sum over a slice is 1/k of the sum
-    over all k^n assignments (see exact), so its log-partition adds log k."""
-
-    def __init__(self, table1: ex.CostTable, table2: ex.CostTable, corr: Correspondence):
-        self.table1, self.table2 = table1, table2
-        self.joint = ex.joint_cost_table(table1, table2, corr)
-        self.joint_min = float(self.joint.min())
-        self.n, self.k = table1.n, table1.k
-        self.minimizer = Assignment(table1.minimizer_labels(), table1.k)
-
-    @classmethod
-    def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
-                  budget: int) -> "_ExactEngine":
-        return cls(ex.enumerate_costs(cost1, budget=budget),
-                   ex.enumerate_costs(cost2, budget=budget), corr)
-
-    def log_dz(self, beta: float) -> float:
-        if beta == 0.0:
-            return self.n * float(np.log(self.k))
-        return ex.log_partition_of_costs(self.joint, self.joint_min, beta) + float(np.log(self.k))
-
-    def moments(self, beta: float) -> tuple[float, float]:
-        """Training mean-cost excess gamma(beta) and the variance of the
-        cost, from one pass."""
-        _, gamma, var = ex.exact_moments(self.table1, beta)
-        return gamma, var
-
-    @functools.cached_property
-    def span(self) -> float:
-        """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
-        return self.moments(0.0)[0]
-
-    @functools.cached_property
-    def resolution(self) -> float:
-        """The smallest gamma beta_for_gamma resolves."""
-        return _GAMMA_RESOLUTION * (abs(self.table1.r_min) + self.span)
-
-    def point(self, beta: float, log_ns: float) -> CapacityPoint:
-        lz1, gamma, _ = ex.exact_moments(self.table1, beta)
-        lz2 = ex.exact_log_partition(self.table2, beta)
-        ldz = self.log_dz(beta)
-        info = (log_ns + ldz - lz1 - lz2) / self.n
-        return CapacityPoint(beta=float(beta), gamma=gamma, log_nsigma=log_ns, log_z1=lz1,
-                             log_z2=lz2, log_dz=ldz, info=info, n=self.n)
-
-    def beta_for_gamma(self, target: float) -> float:
-        """Smallest beta, to relative precision _NEWTON_TOL, whose mean-cost
-        excess is <= target (a target below the resolution counts as the
-        resolution); 0 once target reaches the span.
-
-        beta doubles or halves from 1 until gamma crosses the target; then
-        safeguarded Newton steps on gamma(log beta), whose slope -beta Var(R)
-        comes from the same pass as gamma (the rtsafe scheme of Numerical
-        Recipes, section 9.4), shrink that bracket: a step that leaves it, or
-        is not half the step before last, bisects instead. A converged step
-        from above the target returns; from below it is stretched, doubling
-        each time, until it crosses the root.
-        """
-        target = max(target, self.resolution)
-        if target >= self.span:
-            return 0.0
-        # an overflowing weight exponent gives exp(-inf) = 0; a vanishing
-        # variance gives a non-finite Newton step, which bisects
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            beta = prev = 1.0
-            gamma, var = self.moments(beta)
-            above = gamma > target
-            while (gamma > target) == above:
-                prev, beta = beta, beta * (2.0 if above else 0.5)
-                gamma, var = self.moments(beta)
-            lo, hi = sorted((prev, beta))
-            step = step_old = hi - lo
-            stretch = _NEWTON_TOL
-            while True:
-                newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
-                if abs(newton - beta) < _NEWTON_TOL * beta:
-                    if gamma <= target:
-                        return beta
-                    newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
-                elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
-                    newton = 0.5 * (lo + hi)
-                if not lo < newton < hi:  # the bracket is at float resolution
-                    return hi
-                step_old, step = step, newton - beta
-                beta = newton
-                gamma, var = self.moments(beta)
-                if gamma > target:
-                    lo = beta
-                else:
-                    hi = beta
-
-    def point_at_gamma(self, gamma: float, log_ns: float) -> CapacityPoint:
-        """Point whose beta is calibrated so the training Boltzmann mean cost
-        equals r_min + gamma; beta = 0 once gamma reaches the span."""
-        return self.point(self.beta_for_gamma(gamma), log_ns)
-
-    def auto_grid(self, points: int) -> tuple[float, ...]:
-        """Geometric beta grid spanning mean-cost excess from ~90% down to
-        ~0.1% of the full cost range."""
-        span = self.span
-        if span <= 0.0:  # flat landscape
-            return (0.0, *np.geomspace(0.1, 10.0, points - 1))
-        beta_lo = self.beta_for_gamma(0.9 * span)
-        beta_hi = self.beta_for_gamma(1e-3 * span)
-        return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))
+def exact_points(tables: ex.ExactTables, betas, nsigma: str) -> tuple[CapacityPoint, ...]:
+    """Exact capacity points at the given betas, one pass over each table
+    per beta; log_nsigma counts the training minimizer's type class."""
+    log_ns = _log_nsigma_of(tables.minimizer, nsigma)
+    n = tables.table1.n
+    points = []
+    for beta in map(float, betas):
+        lz1, gamma, _ = ex.exact_moments(tables.table1, beta)
+        lz2 = ex.exact_log_partition(tables.table2, beta)
+        ldz = ex.exact_log_partition(tables.joint, beta)
+        points.append(CapacityPoint(beta=beta, gamma=gamma, log_nsigma=log_ns, log_z1=lz1,
+                                    log_z2=lz2, log_dz=ldz, info=(log_ns + ldz - lz1 - lz2) / n,
+                                    n=n))
+    return tuple(points)
 
 
 def _pick_engine(engine: str, n: int, k: int, budget: int) -> str:
@@ -296,16 +189,15 @@ def capacity_curve(
         raise ValueError("samples must share n")
     cost1 = make_cost(cost_family, train, k)
     cost2 = make_cost(cost_family, test, k)
-    corr = _resolve_corr(train, test, corr)
+    if corr is None:
+        corr = build_correspondence(train, test)
     mode = _pick_engine(engine, train.n, k, cfg.budget)
 
     if mode == "exact":
-        eng = _ExactEngine.enumerate(cost1, cost2, corr, cfg.budget)
-        log_ns = _log_nsigma_of(eng.minimizer, cfg.nsigma)
-        grid = cfg.beta_grid or eng.auto_grid(cfg.grid_points)
-        points = tuple(eng.point(float(b), log_ns) for b in grid)
-        return CapacityCurve(points=points, engine="exact", cost_name=cost_family,
-                             n=train.n, k=k)
+        tables = ex.ExactTables.enumerate(cost1, cost2, corr, cfg.budget)
+        grid = cfg.beta_grid or tables.auto_grid(cfg.grid_points)
+        return CapacityCurve(points=exact_points(tables, grid, cfg.nsigma), engine="exact",
+                             cost_name=cost_family, n=train.n, k=k)
 
     minimizer, r_min = erm_search(cost1, restarts=cfg.restarts, seed=cfg.seed)
     log_ns = _log_nsigma_of(minimizer, cfg.nsigma)
@@ -318,11 +210,11 @@ def capacity_curve(
 
     curve1 = thermo_integrate_logZ(cost1, gibbs(1))
     curve2 = thermo_integrate_logZ(cost2, gibbs(2))
-    joint = joint_thermo_integrate(cost1, cost2, corr, gibbs(3))
+    joint = thermo_integrate_logZ(JointCost(cost1, cost2, corr), gibbs(3))
     gammas = np.maximum(curve1.smoothed_mean_cost() - r_min, 0.0)
     # an excess below the costs' rounding noise is the ground state: levels
     # that all sit in it then tie at gamma 0, and the lowest beta wins
-    gammas[gammas < _GAMMA_RESOLUTION * (abs(r_min) + gammas[0])] = 0.0
+    gammas[gammas < COST_RESOLUTION * (abs(r_min) + gammas[0])] = 0.0
     r_joint = r_min + cost2.evaluate(minimizer.labels[corr.nu])
     warnings = _sampled_warnings(curve1, curve2, joint, r_min, r_joint, log_ns)
     points = []
@@ -385,10 +277,12 @@ def exact_point_at_gamma(
     """Exact-engine capacity point at a prescribed gamma: beta is calibrated
     so the training Boltzmann mean cost equals r_min + gamma."""
     ex.check_gamma(gamma)
-    cost1 = make_cost(cost_family, train, k)
-    cost2 = make_cost(cost_family, test, k)
-    eng = _ExactEngine.enumerate(cost1, cost2, _resolve_corr(train, test, corr), cfg.budget)
-    return eng.point_at_gamma(gamma, _log_nsigma_of(eng.minimizer, cfg.nsigma))
+    if corr is None:
+        corr = build_correspondence(train, test)
+    tables = ex.ExactTables.enumerate(make_cost(cost_family, train, k),
+                                      make_cost(cost_family, test, k), corr, cfg.budget)
+    (point,) = exact_points(tables, [tables.beta_for_gamma(gamma)], cfg.nsigma)
+    return point
 
 
 def optimal_gamma(curve: CapacityCurve) -> tuple[float, float, float]:

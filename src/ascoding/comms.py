@@ -26,11 +26,11 @@ object 0 inherits, that of training object nu[sigma[0]].
 
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: the
-training table, the correspondence and the bound's beta calibration are
-built once per trial (the calibration once per gamma, on the same training
-table), the k shifted member-digit matrices once per gamma, and the
-received table once per codebook. A cell then scores all codewords with
-one gather.
+training table, the correspondence and the bound's exact tables are built
+once per trial (the beta calibration once per gamma, on the same training
+table), the received table once per codebook, and the k shifted
+member-digit matrices once per gamma, one gamma at a time. A cell then
+scores all codewords with one gather.
 """
 from __future__ import annotations
 
@@ -39,16 +39,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import _ExactEngine, _log_nsigma_of, make_cost
+from .capacity import exact_points, make_cost
 from .core import Correspondence, Dataset, Kind, build_correspondence
 from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
 from .exact import (
-    GAMMA_SLACK,
     CostTable,
+    ExactTables,
     check_gamma,
-    decode_indices,
     enumerate_costs,
     pushforward_weights,
 )
@@ -152,20 +151,19 @@ class TransmissionResult:
             raise ValueError("correct flag is inconsistent")
 
 
-def _members(table: CostTable, gamma: float) -> np.ndarray:
-    """Mask of the gamma-approximation set of a table, with the slack of
-    exact.approx_set_size."""
-    return table.costs <= table.r_min + gamma + GAMMA_SLACK
-
-
 def _shifted_member_digits(table: CostTable, gamma: float) -> np.ndarray:
     """k x members x n: the label digits (0..k-1) of the slice's
     gamma-approximation set in encoding order, every digit shifted by -s
-    (mod k) in layer s."""
-    k = table.k
-    digits = decode_indices(np.flatnonzero(_members(table, gamma)) * k, table.n, k) - 1
-    shifted = digits[None] - np.arange(k)[:, None, None]
-    shifted %= k
+    (mod k) in layer s. Built in place, one object's digits at a time, so no
+    temporary is larger than one column."""
+    k, n = table.k, table.n
+    index = np.flatnonzero(table.members(gamma)) * k
+    shifted = np.empty((k, index.size, n), dtype=np.int64)
+    for i in range(n):
+        np.mod(index // k**i, k, out=shifted[0, :, i])
+    for s in range(1, k):
+        np.subtract(shifted[0], s, out=shifted[s])
+        shifted[s] %= k
     return shifted
 
 
@@ -223,7 +221,7 @@ def transmit_and_decode(
     table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
     table1 = enumerate_costs(make_cost(cost_family, train, k), budget=budget)
     corr = build_correspondence(train, fresh_test)
-    scores = _overlap_scores(_members(table_r, gamma), _shifted_member_digits(table1, gamma),
+    scores = _overlap_scores(table_r.members(gamma), _shifted_member_digits(table1, gamma),
                              _codeword_weights(codebook, corr, k))
     decoded = int(np.argmax(scores))
     return TransmissionResult(
@@ -336,18 +334,23 @@ def error_rate_grid(
         corr = build_correspondence(x1, x2)
         if compute_bound:
             table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget)
-            eng = _ExactEngine(table1, table2, corr)
-            log_ns = _log_nsigma_of(eng.minimizer, "multinomial")
-            infos.append([eng.point_at_gamma(g, log_ns).info for g in gammas])
-        shifted = [_shifted_member_digits(table1, g) for g in gammas]
-        for cb, cb_rows in zip(codebooks, rows):
+            tables = ExactTables(table1, table2, corr)
+            betas = [tables.beta_for_gamma(g) for g in gammas]
+            infos.append([p.info for p in exact_points(tables, betas, "multinomial")])
+        received = []  # per codebook: (sent, received table, codewords)
+        for cb in codebooks:
             sent = int(derive_rng(seed, t, 1).integers(cb.m))
-            received = permute_dataset(x2, cb.sigmas[sent])
-            table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
-            codewords = _codeword_weights(cb, corr, k)
-            for gamma, d, cell in zip(gammas, shifted, cb_rows):
-                scores = _overlap_scores(_members(table_r, gamma), d, codewords)
-                cell.append(_trial_row(t, sent, scores))
+            x_r = permute_dataset(x2, cb.sigmas[sent])
+            received.append((sent, enumerate_costs(make_cost(cost_family, x_r, k), budget=budget),
+                             _codeword_weights(cb, corr, k)))
+        for j, gamma in enumerate(gammas):
+            # one gamma's member digits at a time: at wide gamma they hold
+            # k^n n entries
+            shifted = _shifted_member_digits(table1, gamma)
+            for (sent, table_r, codewords), cb_rows in zip(received, rows):
+                scores = _overlap_scores(table_r.members(gamma), shifted, codewords)
+                cb_rows[j].append(_trial_row(t, sent, scores))
+            del shifted
     return [
         [
             _error_rate_result(cell, [error_bound(info[j], cb.rate_bits, spec.n)

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 24
+# relative rounding noise of a cost: its cluster statistics are summed in an
+# order that depends on the labels (relabelings of one partition at k >= 3)
+# or on the moves that led to them (replicas in one ground state), so equal
+# costs can differ by a few ulps
+COST_RESOLUTION = 2.0**-44
 
 
 class ReplicaState(ABC):

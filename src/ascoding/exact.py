@@ -24,6 +24,10 @@ are k times the slice's, and Boltzmann averages are equal. The joint table
 gathers table2 at the slice form of each push-forward: every label shifted
 by minus the label of test object 0 (at k = 2, idx -> 2^n - 1 - idx).
 
+ExactTables holds the training, test and joint tables of one sample pair
+and calibrates beta for a target gamma on the training table; capacity
+curves, point queries and the channel bound each build one per pair.
+
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
 """
@@ -34,19 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Correspondence
-from .costs import CostFunction, DEFAULT_BUDGET
+from .core import Assignment, Correspondence
+from .costs import COST_RESOLUTION, DEFAULT_BUDGET, CostFunction
 from .errors import BudgetError
 
 __all__ = [
     "CostTable",
+    "ExactTables",
     "GAMMA_SLACK",
     "decode_indices",
     "enumerate_costs",
     "pushforward_weights",
     "approx_set_size",
     "exact_log_partition",
-    "log_partition_of_costs",
     "exact_moments",
     "joint_cost_table",
     "exact_set_intersection",
@@ -111,6 +115,13 @@ class CostTable:
 
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
+
+    def members(self, gamma: float) -> np.ndarray:
+        """Mask of the slice's gamma-approximation set: costs within gamma
+        of the minimum, with a small absolute slack on the threshold so
+        boundary members are not lost to summation noise."""
+        check_gamma(gamma)
+        return self.costs <= self.r_min + gamma + GAMMA_SLACK
 
 
 @functools.lru_cache(maxsize=16)
@@ -200,10 +211,8 @@ def check_gamma(gamma: float) -> None:
 
 
 def approx_set_size(table: CostTable, gamma: float) -> int:
-    """|{c : R(c) <= r_min + gamma}| with a small absolute slack on the
-    threshold so boundary members are not lost to summation noise."""
-    check_gamma(gamma)
-    return table.k * int((table.costs <= table.r_min + gamma + GAMMA_SLACK).sum())
+    """|{c : R(c) <= r_min + gamma}|, the members of CostTable.members."""
+    return table.k * int(table.members(gamma).sum())
 
 
 def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) -> list[float]:
@@ -226,12 +235,6 @@ def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) ->
     return sums
 
 
-def log_partition_of_costs(costs: np.ndarray, r_min: float, beta: float) -> float:
-    """Stable log sum exp(-beta * costs) given the minimum cost."""
-    (z,) = _boltzmann_sums(costs, r_min, beta, 0)
-    return float(-beta * r_min + np.log(z))
-
-
 def _check_beta(beta: float) -> None:
     if beta < 0 or not np.isfinite(beta):
         raise ValueError("beta must be finite and >= 0")
@@ -242,7 +245,8 @@ def exact_log_partition(table: CostTable, beta: float) -> float:
     _check_beta(beta)
     if beta == 0.0:
         return table.n * float(np.log(table.k))
-    return log_partition_of_costs(table.costs, table.r_min, beta) + float(np.log(table.k))
+    (z,) = _boltzmann_sums(table.costs, table.r_min, beta, 0)
+    return float(-beta * table.r_min + np.log(z)) + float(np.log(table.k))
 
 
 def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
@@ -258,9 +262,9 @@ def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
     return log_z, excess, variance
 
 
-def _by_halves(table: CostTable) -> np.ndarray:
-    """The table's costs as a (hi, lo) matrix."""
-    return table.costs.reshape(table.k ** (table.n - _low_half(table.n)), -1)
+def _by_halves(table: CostTable, values: np.ndarray) -> np.ndarray:
+    """Per-entry values of a table as a (hi, lo) matrix."""
+    return values.reshape(table.k ** (table.n - _low_half(table.n)), -1)
 
 
 def _check_pair(table1: CostTable, table2: CostTable) -> None:
@@ -268,16 +272,17 @@ def _check_pair(table1: CostTable, table2: CostTable) -> None:
         raise ValueError("tables must share n and k")
 
 
-def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence) -> np.ndarray:
+def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence) -> CostTable:
     """Combined costs R(c, X1) + R(pushforward(c), X2) over the training
-    assignments c of table1, in its encoding order."""
+    assignments c of table1, in its encoding order; r_min is the joint
+    minimum."""
     _check_pair(table1, table2)
     index = _pushforward_index(corr, table1.n, table1.k)
-    costs1 = _by_halves(table1)
+    costs1 = _by_halves(table1, table1.costs)
     out = np.empty(costs1.shape)
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = costs1[hi, lo] + table2.costs[index(hi, lo)]
-    return out.ravel()
+    return CostTable.from_costs(out.ravel(), table1.n, table1.k)
 
 
 def exact_set_intersection(
@@ -288,15 +293,102 @@ def exact_set_intersection(
 ) -> int:
     """#{c in C_gamma(X1) : pushforward(c) in C_gamma(X2)}, counted over
     training assignments (pushforward collisions are not collapsed)."""
-    check_gamma(gamma)
     _check_pair(table1, table2)
-    thresh1 = table1.r_min + gamma + GAMMA_SLACK
-    member2 = table2.costs <= table2.r_min + gamma + GAMMA_SLACK
+    member1 = _by_halves(table1, table1.members(gamma))
+    member2 = table2.members(gamma)
     index = _pushforward_index(corr, table1.n, table1.k)
-    costs1 = _by_halves(table1)
     count = 0
-    for hi, lo in _blocks(*costs1.shape):
-        sel = costs1[hi, lo] <= thresh1
+    for hi, lo in _blocks(*member1.shape):
+        sel = member1[hi, lo]
         if sel.any():
             count += int(member2[index(hi, lo)[sel]].sum())
     return table1.k * count
+
+
+_NEWTON_TOL = 2.0**-50  # relative Newton step at which beta_for_gamma stops
+
+
+class ExactTables:
+    """The training, test and joint tables of one sample pair, with the beta
+    calibration on the training table: the exact capacity curve, the point
+    queries and the channel bound all read one such set."""
+
+    def __init__(self, table1: CostTable, table2: CostTable, corr: Correspondence):
+        self.table1, self.table2 = table1, table2
+        self.joint = joint_cost_table(table1, table2, corr)
+        self.minimizer = Assignment(table1.minimizer_labels(), table1.k)
+
+    @classmethod
+    def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
+                  budget: int = DEFAULT_BUDGET) -> "ExactTables":
+        return cls(enumerate_costs(cost1, budget=budget),
+                   enumerate_costs(cost2, budget=budget), corr)
+
+    @functools.cached_property
+    def span(self) -> float:
+        """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
+        return exact_moments(self.table1, 0.0)[1]
+
+    @functools.cached_property
+    def resolution(self) -> float:
+        """The smallest gamma beta_for_gamma resolves: calibrating below the
+        costs' rounding noise would need a beta so large that the
+        log-partitions lose all precision."""
+        return COST_RESOLUTION * (abs(self.table1.r_min) + self.span)
+
+    def beta_for_gamma(self, target: float) -> float:
+        """Smallest beta, to relative precision _NEWTON_TOL, whose mean-cost
+        excess is <= target (a target below the resolution counts as the
+        resolution); 0 once target reaches the span.
+
+        beta doubles or halves from 1 until gamma crosses the target; then
+        safeguarded Newton steps on gamma(log beta), whose slope -beta Var(R)
+        comes from the same pass as gamma (the rtsafe scheme of Numerical
+        Recipes, section 9.4), shrink that bracket: a step that leaves it, or
+        is not half the step before last, bisects instead. A converged step
+        from above the target returns; from below it is stretched, doubling
+        each time, until it crosses the root.
+        """
+        check_gamma(target)  # a NaN target never brackets
+        target = max(target, self.resolution)
+        if target >= self.span:
+            return 0.0
+        # an overflowing weight exponent gives exp(-inf) = 0; a vanishing
+        # variance gives a non-finite Newton step, which bisects
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            beta = prev = 1.0
+            _, gamma, var = exact_moments(self.table1, beta)
+            above = gamma > target
+            while (gamma > target) == above:
+                prev, beta = beta, beta * (2.0 if above else 0.5)
+                _, gamma, var = exact_moments(self.table1, beta)
+            lo, hi = sorted((prev, beta))
+            step = step_old = hi - lo
+            stretch = _NEWTON_TOL
+            while True:
+                newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
+                if abs(newton - beta) < _NEWTON_TOL * beta:
+                    if gamma <= target:
+                        return beta
+                    newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
+                elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
+                    newton = 0.5 * (lo + hi)
+                if not lo < newton < hi:  # the bracket is at float resolution
+                    return hi
+                step_old, step = step, newton - beta
+                beta = newton
+                _, gamma, var = exact_moments(self.table1, beta)
+                if gamma > target:
+                    lo = beta
+                else:
+                    hi = beta
+
+    def auto_grid(self, points: int) -> tuple[float, ...]:
+        """Geometric beta grid spanning mean-cost excess from ~90% down to
+        ~0.1% of the full cost range."""
+        span = self.span
+        if span <= 0.0:  # flat landscape
+            return (0.0, *np.geomspace(0.1, 10.0, points - 1))
+        beta_lo = self.beta_for_gamma(0.9 * span)
+        beta_hi = self.beta_for_gamma(1e-3 * span)
+        return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))

@@ -23,20 +23,17 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import isotonic_regression
 
-from .core import Correspondence
-from .costs import CostFunction, JointCost
+from .costs import COST_RESOLUTION, CostFunction
 from .rng import derive_rng
 
 __all__ = [
     "GibbsConfig",
     "FreeEnergyCurve",
     "thermo_integrate_logZ",
-    "joint_thermo_integrate",
     "default_beta_grid",
 ]
 
 _PILOT_REPLICAS = 64  # random assignments whose site deltas set the grid's top
-_COST_RESOLUTION = 2.0**-44  # relative rounding noise of a sampled mean cost
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ class FreeEnergyCurve:
         # replicas in one ground state report costs a few ulps apart, from
         # the rounding their statistics picked up along different moves
         tol = z * np.sqrt(self.stderr[:-1] ** 2 + self.stderr[1:] ** 2)
-        tol += _COST_RESOLUTION * np.abs(self.mean_cost).max()
+        tol += COST_RESOLUTION * np.abs(self.mean_cost).max()
         return int((rise > tol).sum())
 
 
@@ -156,26 +153,18 @@ def thermo_integrate_logZ(cost: CostFunction, cfg: GibbsConfig) -> FreeEnergyCur
                            n=cost.n, k=cost.k)
 
 
-def joint_thermo_integrate(
-    cost1: CostFunction, cost2: CostFunction, corr: Correspondence, cfg: GibbsConfig
-) -> FreeEnergyCurve:
-    """Same machinery applied to the combined two-sample cost
-    R(c, X1) + R(pushforward(c), X2) over training assignments."""
-    return thermo_integrate_logZ(JointCost(cost1, cost2, corr), cfg)
-
-
 def default_beta_grid(
     cost: CostFunction, points: int = 25, seed: int = 0, span: float = 1000.0
 ) -> tuple[float, ...]:
-    """Geometric grid after 0, reaching the beta at which the mean acceptance
-    of cost-increasing single-site moves drops to about 1%, over every site
-    of _PILOT_REPLICAS uniform random assignments."""
+    """points betas: 0, then a geometric grid reaching the beta at which the
+    mean acceptance of cost-increasing single-site moves drops to about 1%,
+    over every site of _PILOT_REPLICAS uniform random assignments."""
     rng = derive_rng(seed, 104729)  # fixed pilot stream
     state = cost.replica_state(rng.integers(0, cost.k, size=(_PILOT_REPLICAS, cost.n)))
     deltas = np.concatenate([state.deltas(i).ravel() for i in range(cost.n)])
     deltas = deltas[deltas > 0]
     if not deltas.size:  # flat cost landscape: any scale works
-        return (0.0, *np.geomspace(0.1, 10.0, points))
+        return (0.0, *np.geomspace(0.1, 10.0, points - 1))
 
     def acceptance(beta: float) -> float:
         return float(np.exp(-beta * deltas).mean())
@@ -190,4 +179,4 @@ def default_beta_grid(
             lo = mid
         else:
             hi = mid
-    return (0.0, *np.geomspace(hi / span, hi, points))
+    return (0.0, *np.geomspace(hi / span, hi, points - 1))

@@ -10,11 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from ascoding.capacity import CapacityConfig, _ExactEngine, capacity_curve, select_model
+from ascoding.capacity import CapacityConfig, capacity_curve, select_model
 from ascoding.cli import main as cli_main
 from ascoding.comms import error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
-from ascoding.costs import KMeansCost
+from ascoding.costs import JointCost, KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
 from ascoding.exact import (
     approx_set_size,
@@ -22,9 +22,10 @@ from ascoding.exact import (
     exact_log_partition,
     exact_moments,
     exact_set_intersection,
+    joint_cost_table,
 )
 from ascoding.capacity import make_cost
-from ascoding.thermo import GibbsConfig, default_beta_grid, joint_thermo_integrate, thermo_integrate_logZ
+from ascoding.thermo import GibbsConfig, default_beta_grid, thermo_integrate_logZ
 
 LN2 = math.log(2)
 
@@ -56,12 +57,12 @@ def test_criterion_1_oracle_equivalence_partition_functions():
             cfg = GibbsConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=200,
                               chains=3, seed=11)
             table1 = enumerate_costs(c1)
-            eng = _ExactEngine(table1, enumerate_costs(c2), corr)
+            joint_table = joint_cost_table(table1, enumerate_costs(c2), corr)
             curve = thermo_integrate_logZ(c1, cfg)
             err_z = max(abs(curve.log_z[i] - exact_log_partition(table1, b))
                         for i, b in enumerate(grid))
-            joint = joint_thermo_integrate(c1, c2, corr, cfg)
-            err_dz = max(abs(joint.log_z[i] - eng.log_dz(b))
+            joint = thermo_integrate_logZ(JointCost(c1, c2, corr), cfg)
+            err_dz = max(abs(joint.log_z[i] - exact_log_partition(joint_table, b))
                          for i, b in enumerate(grid))
             worst = max(worst, err_z, err_dz)
     elapsed = time.time() - t0
@@ -247,7 +248,7 @@ def test_criterion_8_intersection_bounds():
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
         t1, t2 = enumerate_costs(c1), enumerate_costs(c2)
-        eng = _ExactEngine(t1, t2, corr)
+        joint = joint_cost_table(t1, t2, corr)
         span = float(t1.costs.max() - t1.r_min)
         for gamma in np.linspace(0.0, span, 12):
             assert exact_set_intersection(t1, t2, corr, gamma) <= approx_set_size(t1, gamma)
@@ -255,7 +256,7 @@ def test_criterion_8_intersection_bounds():
         for gamma in np.linspace(0.0, span, 8):
             assert exact_set_intersection(t1, t1, ident, gamma) == approx_set_size(t1, gamma)
         for beta in (0.0, 0.2, 1.0, 4.0):
-            gap = eng.log_dz(beta) - exact_log_partition(t1, beta)
+            gap = exact_log_partition(joint, beta) - exact_log_partition(t1, beta)
             worst_gap = max(worst_gap, gap)
             assert gap <= 1e-12
     report(8, True, f"bounds hold on 5 instances; max(logDZ - logZ1) = {worst_gap:.2e}")

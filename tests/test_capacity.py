@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ascoding.capacity import (
-    _ExactEngine,
     _sampled_warnings,
     CandidateScore,
     CapacityConfig,
@@ -28,7 +27,7 @@ from ascoding.core import (
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import enumerate_costs
+from ascoding.exact import ExactTables, enumerate_costs, exact_moments
 from ascoding.rng import derive_seed
 from ascoding.thermo import FreeEnergyCurve
 
@@ -235,21 +234,33 @@ class TestExactPointAtGamma:
     @pytest.mark.parametrize("fraction", [0.9, 1e-3, 0.3, 0.0])
     def test_newton_matches_full_bisection(self, pair_n8, fraction):
         x1, x2 = pair_n8
-        eng = _ExactEngine.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
-                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        eng = ExactTables.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
+                                    build_correspondence(x1, x2))
+
+        def gamma(beta):
+            return exact_moments(eng.table1, beta)[1]
+
         target = max(fraction * eng.span, eng.resolution)  # smaller gammas count as 0
         lo, hi = 0.0, 1.0
-        while eng.moments(hi)[0] > target:
+        while gamma(hi) > target:
             hi *= 2.0
         for _ in range(100):  # plain bisection, every pass, to float resolution
             mid = 0.5 * (lo + hi)
-            if eng.moments(mid)[0] > target:
+            if gamma(mid) > target:
                 lo = mid
             else:
                 hi = mid
         beta = eng.beta_for_gamma(target)
         assert beta == pytest.approx(hi, rel=1e-12, abs=0.0)
-        assert eng.moments(beta)[0] <= target
+        assert gamma(beta) <= target
+
+    def test_calibration_rejects_nan_and_negative_gamma(self, pair_n8):
+        x1, x2 = pair_n8
+        eng = ExactTables.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
+                                    build_correspondence(x1, x2))
+        for gamma in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="gamma"):
+                eng.beta_for_gamma(gamma)
 
     @staticmethod
     def _tied_trial(seed, trial, separation, sigma):
@@ -264,10 +275,10 @@ class TestExactPointAtGamma:
         # six exactly tied minima, two on the canonical slice: in excess form
         # the mean cost reaches r_min exactly once the other weights underflow
         x1, x2 = self._tied_trial(4, 4, 6.0, 1.0)
-        eng = _ExactEngine.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
-                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        eng = ExactTables.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
+                                    build_correspondence(x1, x2))
         assert (eng.table1.costs == eng.table1.r_min).sum() == 6 // 3
-        assert eng.moments(2.0**1000)[0] == 0.0
+        assert exact_moments(eng.table1, 2.0**1000)[1] == 0.0
         pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
@@ -276,8 +287,8 @@ class TestExactPointAtGamma:
         # r_min = 23472.6: the tied minima's mean once rounded a few ulps,
         # more than GAMMA_SLACK, above r_min at every finite beta
         x1, x2 = self._tied_trial(1, 1, 600.0, 100.0)
-        eng = _ExactEngine.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
-                                     build_correspondence(x1, x2), CapacityConfig().budget)
+        eng = ExactTables.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
+                                    build_correspondence(x1, x2))
         pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
@@ -319,6 +330,17 @@ class TestExactEngineWork:
 
 
 class TestCapacityConfig:
+    @pytest.mark.parametrize("engine", ["exact", "sampled"])
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_both_engines_give_grid_points_points(self, pair_n8, engine, flat):
+        # grid_points counts every beta, 0 included, on both engines and on
+        # the flat-landscape branch of each grid
+        x1, x2 = (vecs([2.0], [2.0], [2.0]),) * 2 if flat else pair_n8
+        cfg = CapacityConfig(grid_points=5, chains=1, sweeps_burnin=2, sweeps_measure=4,
+                             restarts=2)
+        curve = capacity_curve(x1, x2, "kmeans", 2, engine=engine, cfg=cfg)
+        assert len(curve.points) == 5 and curve.points[0].beta == 0.0
+
     @pytest.mark.parametrize("grid", [(0.0, math.nan), (0.0, math.inf), (0.0, -1.0)])
     def test_beta_grid_must_be_finite_and_nonnegative(self, grid):
         with pytest.raises(ValueError, match="beta_grid"):

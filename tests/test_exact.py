@@ -5,14 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ascoding.capacity import CapacityConfig, _ExactEngine, _log_nsigma_of
-from ascoding.core import Assignment, Correspondence, Dataset, build_correspondence
+from ascoding.capacity import exact_points
+from ascoding.core import (
+    Assignment,
+    Correspondence,
+    Dataset,
+    build_correspondence,
+    log_type_class_size,
+    type_distribution,
+)
 from ascoding.costs import KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
 from ascoding.exact import (
     GAMMA_SLACK,
     CostTable,
+    ExactTables,
     approx_set_size,
     decode_indices,
     enumerate_costs,
@@ -38,8 +46,8 @@ def mean_cost(table, beta):
 
 
 def joint_log_partition(table1, cost2, corr, beta):
-    """log dZ(beta) of the engine built on table1 and cost2's table."""
-    return _ExactEngine(table1, enumerate_costs(cost2), corr).log_dz(beta)
+    """log dZ(beta) of the joint table of table1 and cost2's table."""
+    return exact_log_partition(joint_cost_table(table1, enumerate_costs(cost2), corr), beta)
 
 
 def all_assignments(n, k):
@@ -119,6 +127,14 @@ class TestApproxSetSize:
     def test_negative_gamma_rejected(self, three_point_table):
         with pytest.raises(ValueError):
             approx_set_size(three_point_table, -0.1)
+        with pytest.raises(ValueError):
+            three_point_table.members(float("nan"))
+
+    def test_members_keep_the_slack_boundary(self):
+        table = CostTable.from_costs(np.array([1.0, 2.0, 2.0 + 0.5 * GAMMA_SLACK, 4.0]), n=3, k=2)
+        assert table.members(1.0).tolist() == [True, True, True, False]
+        assert table.members(1.0 - 2 * GAMMA_SLACK).tolist() == [True, False, False, False]
+        assert approx_set_size(table, 1.0) == 2 * int(table.members(1.0).sum()) == 6
 
 
 class TestLogPartition:
@@ -366,7 +382,9 @@ class TestSplitHalfAgainstReference:
         cost1, cost2, nu, _, _ = inst
         t1, t2 = enumerate_costs(cost1), enumerate_costs(cost2)
         corr = Correspondence(nu=nu, n=cost1.n)
-        assert np.array_equal(joint_cost_table(t1, t2, corr), reference_joint(t1, t2, nu))
+        joint = joint_cost_table(t1, t2, corr)
+        assert np.array_equal(joint.costs, reference_joint(t1, t2, nu))
+        assert joint.r_min == joint.costs.min()
         # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
         gaps = np.unique(np.concatenate([t1.costs - t1.r_min, t2.costs - t2.r_min]))
         for gamma in (*gaps[:6], *gaps[-2:]):
@@ -391,7 +409,8 @@ class TestSplitHalfAgainstReference:
             assert np.abs(enumerate_costs(cost).costs - ref).max() < 1e-9
         t1, t2 = enumerate_costs(KMeansCost(x1, 2)), enumerate_costs(KMeansCost(x2, 2))
         corr = build_correspondence(x1, x2)
-        assert np.array_equal(joint_cost_table(t1, t2, corr), reference_joint(t1, t2, corr.nu))
+        assert np.array_equal(joint_cost_table(t1, t2, corr).costs,
+                              reference_joint(t1, t2, corr.nu))
         assert exact_set_intersection(t1, t2, corr, 3.0) == \
             reference_intersection(t1, t2, corr.nu, 3.0)
         for beta in (0.0, 0.7):
@@ -419,29 +438,28 @@ class TestCanonicalSliceAgainstFull:
     def test_engine_matches_full_tables(self, inst, beta_unit):
         cost1, cost2, nu, integral, scale = inst
         n, k = cost1.n, cost1.k
-        eng = _ExactEngine.enumerate(cost1, cost2, Correspondence(nu=nu, n=n),
-                                     CapacityConfig().budget)
+        eng = ExactTables.enumerate(cost1, cost2, Correspondence(nu=nu, n=n))
         ref1, ref2 = reference_table(cost1), reference_table(cost2)
         joint = reference_full_joint(ref1, ref2, nu)
-        assert eng.table1.costs.size == eng.joint.size == k ** (n - 1)
-        assert np.abs(eng.joint - joint[::k]).max() <= 1e-12 * scale
+        assert eng.table1.costs.size == eng.joint.costs.size == k ** (n - 1)
+        assert np.abs(eng.joint.costs - joint[::k]).max() <= 1e-12 * scale
         if integral:  # same arithmetic: the slice is every k-th entry
             assert np.array_equal(eng.table1.costs, ref1.costs[::k])
         assert ref1.costs[eng.table1.argmin_index] <= ref1.r_min + 2e-12 * scale
-        nsigma = _log_nsigma_of(eng.minimizer, "multinomial")
-        if integral:
-            assert nsigma == _log_nsigma_of(Assignment(ref1.minimizer_labels(), k), "multinomial")
-            if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
-                assert eng.table1.argmin_index == ref1.argmin_index
         beta = beta_unit * 10.0 / scale
         lz1, gamma, var = reference_moments(ref1.costs, beta)
-        pt = eng.point(beta, nsigma)
+        (pt,) = exact_points(eng, [beta], "multinomial")
+        if integral:
+            ref_type = type_distribution(Assignment(ref1.minimizer_labels(), k))
+            assert pt.log_nsigma == log_type_class_size(ref_type)
+            if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
+                assert eng.table1.argmin_index == ref1.argmin_index
         # costs agree to 1e-12 * scale, which moves log Z by beta times that
         for got, want in ((pt.log_z1, lz1), (pt.log_z2, reference_moments(ref2.costs, beta)[0]),
                           (pt.log_dz, reference_moments(joint, beta)[0])):
             assert abs(got - want) <= 1e-12 * (abs(want) + beta * scale)
         assert abs(pt.gamma - gamma) <= 1e-12 * scale
-        assert abs(eng.moments(beta)[1] - var) <= 1e-12 * scale**2
+        assert abs(exact_moments(eng.table1, beta)[2] - var) <= 1e-12 * scale**2
 
     @settings(max_examples=100, deadline=None)
     @given(inst=instances())

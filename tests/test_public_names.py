@@ -1,5 +1,7 @@
-"""Public names: every module's __all__ resolves, and the package root
-exports README's quick-start names and no name README does not list."""
+"""Public names: every module's __all__ resolves, the package root
+exports README's quick-start names and no name README does not list, and no
+module reaches into another module's private (_-prefixed) names."""
+import ast
 import importlib
 import pkgutil
 import re
@@ -11,6 +13,7 @@ import ascoding
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ascoding.__path__))
+SOURCES = sorted(Path(ascoding.__file__).parent.glob("*.py"))
 
 
 def quick_start_names() -> list[str]:
@@ -42,3 +45,27 @@ def test_package_all_resolves_and_is_documented():
     for name in ascoding.__all__:
         assert name in namespace, name
         assert name in documented or f"`{name}`" in README, f"README does not list {name}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.stem)
+def test_no_module_uses_another_modules_private_names(source):
+    tree = ast.parse(source.read_text())
+    siblings = set()  # local names of package modules, from `from . import m`
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ascoding"):
+            for alias in node.names:
+                if node.module is None:
+                    siblings.add(alias.asname or alias.name)
+                if is_private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and is_private(node.attr)):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    assert not found, found

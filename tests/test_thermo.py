@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from ascoding.capacity import _ExactEngine
 from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import JointCost, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
-from ascoding.exact import decode_indices, enumerate_costs, exact_log_partition, exact_moments
+from ascoding.exact import (
+    decode_indices,
+    enumerate_costs,
+    exact_log_partition,
+    exact_moments,
+    joint_cost_table,
+)
 from ascoding.rng import derive_rng
 from ascoding.thermo import (
     FreeEnergyCurve,
     GibbsConfig,
     default_beta_grid,
-    joint_thermo_integrate,
     thermo_integrate_logZ,
 )
 
@@ -246,14 +250,14 @@ class TestJointIntegration:
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
-        curve = joint_thermo_integrate(cost, cost, Correspondence.identity(8), cfg_for)
+        curve = thermo_integrate_logZ(JointCost(cost, cost, Correspondence.identity(8)), cfg_for)
         exact = np.array([exact_log_partition(table, 2 * b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
     def test_beta_zero(self, instance, cfg_for):
         x1, x2 = instance
-        curve = joint_thermo_integrate(
-            KMeansCost(x1, 2), KMeansCost(x2, 2), build_correspondence(x1, x2), cfg_for
+        curve = thermo_integrate_logZ(
+            JointCost(KMeansCost(x1, 2), KMeansCost(x2, 2), build_correspondence(x1, x2)), cfg_for
         )
         assert curve.log_z[0] == 8 * math.log(2)
 
@@ -261,9 +265,9 @@ class TestJointIntegration:
         x1, x2 = instance
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        eng = _ExactEngine(enumerate_costs(c1), enumerate_costs(c2), corr)
-        curve = joint_thermo_integrate(c1, c2, corr, cfg_for)
-        exact = np.array([eng.log_dz(b) for b in curve.betas])
+        joint = joint_cost_table(enumerate_costs(c1), enumerate_costs(c2), corr)
+        curve = thermo_integrate_logZ(JointCost(c1, c2, corr), cfg_for)
+        exact = np.array([exact_log_partition(joint, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
 
@@ -280,7 +284,7 @@ class TestFreeEnergyCurve:
 def test_default_grid_shape(instance):
     x1, _ = instance
     grid = default_beta_grid(KMeansCost(x1, 2), points=10, seed=0)
-    assert grid[0] == 0.0 and len(grid) == 11
+    assert grid[0] == 0.0 and len(grid) == 10
     assert all(b2 > b1 for b1, b2 in zip(grid, grid[1:]))
 
 
