@@ -52,7 +52,6 @@ __all__ = [
     "make_cost",
     "capacity_curve",
     "exact_points",
-    "exact_point_at_gamma",
     "optimal_gamma",
     "select_model",
 ]
@@ -263,26 +262,6 @@ def _sampled_warnings(curve1: FreeEnergyCurve, curve2: FreeEnergyCurve,
             found.append(f"{name} mean cost rises with beta beyond 2 stderr at {rises} "
                          f"grid step{'s' if rises > 1 else ''}")
     return tuple(found)
-
-
-def exact_point_at_gamma(
-    train: Dataset,
-    test: Dataset,
-    cost_family: str,
-    k: int,
-    gamma: float,
-    cfg: CapacityConfig = CapacityConfig(),
-    corr: Correspondence | None = None,
-) -> CapacityPoint:
-    """Exact-engine capacity point at a prescribed gamma: beta is calibrated
-    so the training Boltzmann mean cost equals r_min + gamma."""
-    ex.check_gamma(gamma)
-    if corr is None:
-        corr = build_correspondence(train, test)
-    tables = ex.ExactTables.enumerate(make_cost(cost_family, train, k),
-                                      make_cost(cost_family, test, k), corr, cfg.budget)
-    (point,) = exact_points(tables, [tables.beta_for_gamma(gamma)], cfg.nsigma)
-    return point
 
 
 def optimal_gamma(curve: CapacityCurve) -> tuple[float, float, float]:

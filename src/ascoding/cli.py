@@ -152,10 +152,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     spec = _mixture_spec(args)
     if args.codebook_sizes:
-        rates = [float(np.log2(m)) / args.n for m in _int_list(args.codebook_sizes)]
+        sizes = _int_list(args.codebook_sizes)
+        if min(sizes, default=1) < 1:
+            raise ValueError(f"codebook sizes must be >= 1, got {args.codebook_sizes!r}")
+        rates = [float(np.log2(m)) / args.n for m in sizes]
     elif args.rate_bits:
         rates = _float_list(args.rate_bits)
     else:
@@ -166,6 +168,7 @@ def cmd_simulate(args) -> int:
 
     codebooks = [generate_codebook(args.n, rate, args.seed, max_size=args.max_codebook)
                  for rate in rates]
+    out = _out_dir(args)
     results = error_rate_grid(codebooks, spec, args.cost, args.k, gammas,
                               trials=args.trials, seed=args.seed,
                               compute_bound=not args.no_bound, budget=args.budget)

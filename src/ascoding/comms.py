@@ -55,12 +55,10 @@ from .rng import derive_rng, derive_seed
 
 __all__ = [
     "Codebook",
-    "TransmissionResult",
     "TrialRow",
     "ErrorRateResult",
     "generate_codebook",
     "permute_dataset",
-    "transmit_and_decode",
     "error_rate_grid",
     "error_bound",
     "wilson_interval",
@@ -104,8 +102,11 @@ def generate_codebook(
 ) -> Codebook:
     """Identity plus m-1 uniformly drawn distinct permutations, with
     m = ceil(2^(n * rate_bits))."""
-    if rate_bits < 0:
-        raise ValueError("rate_bits must be >= 0")
+    if not 0 <= rate_bits < math.inf:
+        raise ValueError(f"rate_bits must be finite and >= 0, got {rate_bits!r}")
+    # far past the maximum, where 2^(n R) may overflow; m checks the boundary
+    if n * rate_bits > math.log2(max(max_size, 1)) + 1:
+        raise BudgetError(f"codebook size 2^{n * rate_bits:g} exceeds maximum {max_size}")
     m = max(1, int(math.ceil(2.0 ** (n * rate_bits) - 1e-9)))
     if m > max_size:
         raise BudgetError(f"codebook size {m} exceeds maximum {max_size}")
@@ -132,23 +133,6 @@ def permute_dataset(data: Dataset, sigma: np.ndarray) -> Dataset:
     if data.kind is Kind.VECTORS:
         return Dataset.from_vectors(data.vectors[sigma])
     return Dataset.from_dissimilarities(data.dissim[np.ix_(sigma, sigma)])
-
-
-@dataclass(frozen=True)
-class TransmissionResult:
-    sent_index: int
-    decoded_index: int
-    overlap_scores: np.ndarray
-    correct: bool
-
-    def __post_init__(self):
-        scores = np.ascontiguousarray(self.overlap_scores, dtype=np.int64)
-        scores.flags.writeable = False
-        object.__setattr__(self, "overlap_scores", scores)
-        if self.decoded_index != int(np.argmax(scores)):
-            raise ValueError("decoded_index must be the argmax of the scores")
-        if self.correct != (self.decoded_index == self.sent_index):
-            raise ValueError("correct flag is inconsistent")
 
 
 def _shifted_member_digits(table: CostTable, gamma: float) -> np.ndarray:
@@ -198,40 +182,6 @@ def _overlap_scores(member_r: np.ndarray, shifted: np.ndarray,
     return k * np.concatenate(scores)
 
 
-def transmit_and_decode(
-    codebook: Codebook,
-    sent_index: int,
-    train: Dataset,
-    fresh_test: Dataset,
-    cost_family: str,
-    k: int,
-    gamma: float,
-    budget: int = DEFAULT_BUDGET,
-) -> TransmissionResult:
-    """Run one channel use and decode by maximum approximation-set overlap
-    (ties to the lowest codeword index)."""
-    if not (0 <= sent_index < codebook.m):
-        raise ValueError("sent_index out of range")
-    check_gamma(gamma)
-    n = train.n
-    if codebook.n != n or fresh_test.n != n:
-        raise ValueError("codebook and samples must share n")
-
-    received = permute_dataset(fresh_test, codebook.sigmas[sent_index])
-    table_r = enumerate_costs(make_cost(cost_family, received, k), budget=budget)
-    table1 = enumerate_costs(make_cost(cost_family, train, k), budget=budget)
-    corr = build_correspondence(train, fresh_test)
-    scores = _overlap_scores(table_r.members(gamma), _shifted_member_digits(table1, gamma),
-                             _codeword_weights(codebook, corr, k))
-    decoded = int(np.argmax(scores))
-    return TransmissionResult(
-        sent_index=sent_index,
-        decoded_index=decoded,
-        overlap_scores=scores,
-        correct=decoded == sent_index,
-    )
-
-
 def error_bound(info_per_object: float, rate_bits: float, n: int) -> float:
     """Random-coding upper bound min(1, exp(-n (I - R log 2)))."""
     arg = -n * (info_per_object - rate_bits * math.log(2.0))
@@ -270,10 +220,6 @@ class ErrorRateResult:
     errors: int
     bound: float | None
     rows: tuple[TrialRow, ...]
-
-    @property
-    def wilson_halfwidth(self) -> float:
-        return 0.5 * (self.wilson_high - self.wilson_low)
 
 
 def _trial_row(trial: int, sent: int, scores: np.ndarray) -> TrialRow:
@@ -318,7 +264,9 @@ def error_rate_grid(
     the analytic bound is evaluated per trial at each gamma on the trial's
     own sample pair (one beta calibration per trial and gamma, shared by all
     codebooks) and averaged: the bound holds in expectation over the data
-    draw.
+    draw. A gamma below the calibration's resolution floor, gamma = 0
+    included, is bounded at the floor's beta, where the mean excess is
+    2^-44 (|r_min| + span): not a beta -> inf limit, which need not exist.
     """
     for gamma in gammas:
         check_gamma(gamma)

@@ -26,7 +26,6 @@ __all__ = [
     "save_dataset_csv",
     "load_dataset_csv",
     "save_labels_csv",
-    "load_labels_csv",
 ]
 
 
@@ -201,24 +200,3 @@ def load_dataset_csv(path: str) -> Dataset:
 
 def save_labels_csv(labels: Assignment, path: str) -> None:
     write_csv_rows(path, f"{labels.n},labels,{labels.k}", labels.labels[:, None])
-
-
-def load_labels_csv(path: str) -> Assignment:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    head = lines[0].split(",")
-    if len(head) != 3 or head[1] != "labels":
-        raise ParseError(f"expected header 'n,labels,k', got {lines[0]!r}", 1)
-    try:
-        n, k = int(head[0]), int(head[2])
-    except ValueError:
-        raise ParseError("bad label header", 1) from None
-    if len(lines) - 1 != n:
-        raise ParseError(f"expected {n} label rows, found {len(lines) - 1}", len(lines))
-    try:
-        values = [int(v) for v in lines[1:]]
-    except ValueError:
-        raise ParseError("non-integer label", 2) from None
-    return Assignment(labels=np.array(values), k=k)

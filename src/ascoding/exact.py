@@ -1,5 +1,5 @@
-"""Exhaustive-enumeration engine: exact approximation-set cardinalities,
-partition functions, two-sample intersections, and Boltzmann averages.
+"""Exhaustive-enumeration engine: exact cost tables, approximation-set
+membership, partition functions and Boltzmann moments.
 
 Assignments are encoded as mixed-radix integers with object 0 as the least
 significant digit (labels 1..k map to digits 0..k-1). The engine serves as
@@ -49,11 +49,9 @@ __all__ = [
     "decode_indices",
     "enumerate_costs",
     "pushforward_weights",
-    "approx_set_size",
     "exact_log_partition",
     "exact_moments",
     "joint_cost_table",
-    "exact_set_intersection",
 ]
 
 GAMMA_SLACK = 1e-12  # absolute float slack on the approximation threshold
@@ -210,11 +208,6 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
 
 
-def approx_set_size(table: CostTable, gamma: float) -> int:
-    """|{c : R(c) <= r_min + gamma}|, the members of CostTable.members."""
-    return table.k * int(table.members(gamma).sum())
-
-
 def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) -> list[float]:
     """[sum_c w(c) x(c)^j for j = 0..order] with x(c) = R(c) - r_min and
     w(c) = exp(-beta x(c)), accumulated over chunks of _BLOCK entries in
@@ -283,26 +276,6 @@ def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence)
     for hi, lo in _blocks(*out.shape):
         out[hi, lo] = costs1[hi, lo] + table2.costs[index(hi, lo)]
     return CostTable.from_costs(out.ravel(), table1.n, table1.k)
-
-
-def exact_set_intersection(
-    table1: CostTable,
-    table2: CostTable,
-    corr: Correspondence,
-    gamma: float,
-) -> int:
-    """#{c in C_gamma(X1) : pushforward(c) in C_gamma(X2)}, counted over
-    training assignments (pushforward collisions are not collapsed)."""
-    _check_pair(table1, table2)
-    member1 = _by_halves(table1, table1.members(gamma))
-    member2 = table2.members(gamma)
-    index = _pushforward_index(corr, table1.n, table1.k)
-    count = 0
-    for hi, lo in _blocks(*member1.shape):
-        sel = member1[hi, lo]
-        if sel.any():
-            count += int(member2[index(hi, lo)[sel]].sum())
-    return table1.k * count
 
 
 _NEWTON_TOL = 2.0**-50  # relative Newton step at which beta_for_gamma stops

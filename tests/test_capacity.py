@@ -11,7 +11,7 @@ from ascoding.capacity import (
     CapacityCurve,
     CapacityPoint,
     capacity_curve,
-    exact_point_at_gamma,
+    exact_points,
     make_cost,
     optimal_gamma,
     select_model,
@@ -183,6 +183,45 @@ class TestCurveProperties:
             assert a.info == pytest.approx(b.info, abs=1e-12)
 
 
+class TestCapacityInvariances:
+    """Symmetries of the exact capacity curve on an explicit beta grid."""
+
+    CFG = CapacityConfig(beta_grid=(0.0, 0.05, 0.2, 0.8, 3.0))
+
+    def curve(self, x1, x2, family, k):
+        return capacity_curve(x1, x2, family, k, engine="exact", cfg=self.CFG)
+
+    @pytest.mark.parametrize("family, k", [("kmeans", 2), ("pairwise", 3)])
+    def test_permuting_both_samples_leaves_info_unchanged(self, pair_n8, family, k):
+        x1, x2 = pair_n8
+        sigma = np.random.default_rng(3).permutation(8)
+        assert sigma[0] != 0  # object 0, which fixes the slice, moves
+        moved = (Dataset.from_vectors(x.vectors[sigma]) for x in (x1, x2))
+        # the correspondence is rebuilt from the permuted samples
+        for a, b in zip(self.curve(x1, x2, family, k).points,
+                        self.curve(*moved, family, k).points):
+            assert abs(a.info - b.info) <= 1e-9
+
+    @pytest.mark.parametrize("family, k", [("kmeans", 2), ("pairwise", 3)])
+    def test_translating_both_samples_leaves_info_unchanged(self, pair_n8, family, k):
+        x1, x2 = pair_n8
+        shift = np.array([3.0, -2.0])
+        moved = (Dataset.from_vectors(x.vectors + shift) for x in (x1, x2))
+        for a, b in zip(self.curve(x1, x2, family, k).points,
+                        self.curve(*moved, family, k).points):
+            assert abs(a.info - b.info) <= 1e-9
+
+    def test_auto_is_exact_up_to_the_budget(self, pair_n8):
+        x1, x2 = pair_n8
+        exact = self.curve(x1, x2, "kmeans", 2)
+        at = capacity_curve(x1, x2, "kmeans", 2, engine="auto",
+                            cfg=dataclasses.replace(self.CFG, budget=2**8))
+        assert at.engine == "exact" and at.points == exact.points
+        below = capacity_curve(x1, x2, "kmeans", 2, engine="auto", cfg=dataclasses.replace(
+            self.CFG, budget=2**8 - 1, chains=1, sweeps_burnin=5, sweeps_measure=10, restarts=2))
+        assert below.engine == "sampled"
+
+
 class TestOptimalGamma:
     def _curve(self, infos, gammas):
         pts = tuple(
@@ -220,22 +259,30 @@ class TestOptimalGamma:
         assert abs(i1 - i0) <= 0.02  # grid refinement barely moves the optimum
 
 
+def exact_tables(x1, x2, family, k):
+    return ExactTables.enumerate(make_cost(family, x1, k), make_cost(family, x2, k),
+                                 build_correspondence(x1, x2))
+
+
+def point_at_gamma(tables, gamma):
+    """The exact capacity point at a calibrated gamma, as the channel bound
+    reads it."""
+    (point,) = exact_points(tables, [tables.beta_for_gamma(gamma)], "multinomial")
+    return point
+
+
 class TestExactPointAtGamma:
     def test_calibration_hits_requested_gamma(self, pair_n8):
-        x1, x2 = pair_n8
-        pt = exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=5.0)
+        pt = point_at_gamma(exact_tables(*pair_n8, "kmeans", 2), 5.0)
         assert pt.gamma == pytest.approx(5.0, rel=1e-6)
 
     def test_large_gamma_returns_beta_zero(self, pair_n8):
-        x1, x2 = pair_n8
-        pt = exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=1e9)
+        pt = point_at_gamma(exact_tables(*pair_n8, "kmeans", 2), 1e9)
         assert pt.beta == 0.0
 
     @pytest.mark.parametrize("fraction", [0.9, 1e-3, 0.3, 0.0])
     def test_newton_matches_full_bisection(self, pair_n8, fraction):
-        x1, x2 = pair_n8
-        eng = ExactTables.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
-                                    build_correspondence(x1, x2))
+        eng = exact_tables(*pair_n8, "kmeans", 2)
 
         def gamma(beta):
             return exact_moments(eng.table1, beta)[1]
@@ -255,9 +302,7 @@ class TestExactPointAtGamma:
         assert gamma(beta) <= target
 
     def test_calibration_rejects_nan_and_negative_gamma(self, pair_n8):
-        x1, x2 = pair_n8
-        eng = ExactTables.enumerate(KMeansCost(x1, 2), KMeansCost(x2, 2),
-                                    build_correspondence(x1, x2))
+        eng = exact_tables(*pair_n8, "kmeans", 2)
         for gamma in (math.nan, -1.0):
             with pytest.raises(ValueError, match="gamma"):
                 eng.beta_for_gamma(gamma)
@@ -274,24 +319,23 @@ class TestExactPointAtGamma:
     def test_gamma_zero_with_exactly_tied_minima(self):
         # six exactly tied minima, two on the canonical slice: in excess form
         # the mean cost reaches r_min exactly once the other weights underflow
-        x1, x2 = self._tied_trial(4, 4, 6.0, 1.0)
-        eng = ExactTables.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
-                                    build_correspondence(x1, x2))
+        eng = exact_tables(*self._tied_trial(4, 4, 6.0, 1.0), "pairwise", 3)
         assert (eng.table1.costs == eng.table1.r_min).sum() == 6 // 3
         assert exact_moments(eng.table1, 2.0**1000)[1] == 0.0
-        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        pt = point_at_gamma(eng, 0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
+        # gamma = 0 is defined as the resolution floor, not a beta -> inf limit
+        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
 
     def test_gamma_zero_with_tied_minima_at_a_large_cost_scale(self):
         # r_min = 23472.6: the tied minima's mean once rounded a few ulps,
         # more than GAMMA_SLACK, above r_min at every finite beta
-        x1, x2 = self._tied_trial(1, 1, 600.0, 100.0)
-        eng = ExactTables.enumerate(make_cost("pairwise", x1, 3), make_cost("pairwise", x2, 3),
-                                    build_correspondence(x1, x2))
-        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        eng = exact_tables(*self._tied_trial(1, 1, 600.0, 100.0), "pairwise", 3)
+        pt = point_at_gamma(eng, 0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
+        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
 
     def test_gamma_zero_ignores_rounding_level_near_ties(self):
         # at k = 3 the slice keeps two relabelings of each partition, whose
@@ -300,10 +344,11 @@ class TestExactPointAtGamma:
         spec = MixtureSpec(n=9, d=3, k_true=3, noise_sigma=1.0, separation=5.0,
                            seed=derive_seed(0, 5, 0), balanced=True)
         x1, x2, _ = draw_paired_samples(spec)
-        pt = exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=0.0)
+        eng = exact_tables(x1, x2, "pairwise", 3)
+        pt = point_at_gamma(eng, 0.0)
         assert pt.beta < 100.0
-        assert pt.info == pytest.approx(
-            exact_point_at_gamma(x1, x2, "pairwise", 3, gamma=1e-6).info, abs=1e-6)
+        assert pt.info == pytest.approx(point_at_gamma(eng, 1e-6).info, abs=1e-6)
+        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
 
 
 class TestExactEngineWork:

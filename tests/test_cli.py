@@ -10,7 +10,7 @@ import pytest
 
 import ascoding
 from ascoding.cli import ENV_OUTPUT_DIR, main
-from ascoding.datagen import load_dataset_csv, load_labels_csv
+from ascoding.datagen import load_dataset_csv
 
 
 def run(*argv):
@@ -35,8 +35,9 @@ class TestGen:
     def test_outputs_roundtrip_through_parsers(self, tmp_path):
         run(*gen_args(tmp_path / "g"))
         train = load_dataset_csv(tmp_path / "g" / "train.csv")
-        labels = load_labels_csv(tmp_path / "g" / "labels.csv")
-        assert train.n == 8 and labels.n == 8
+        header, *labels = (tmp_path / "g" / "labels.csv").read_text().splitlines()
+        assert train.n == 8 and header == "8,labels,2" and len(labels) == 8
+        assert {int(v) for v in labels} == {1, 2}
 
     def test_zero_sigma_train_equals_test(self, tmp_path):
         run(*gen_args(tmp_path / "g", sigma=0))
@@ -288,6 +289,18 @@ class TestErrorPaths:
         assert run("gen", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 0.5,
                    "--seed", 1, "--balanced") == 0
         assert (target / "train.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--rate-bits", "inf", 2), ("--rate-bits", "nan", 2), ("--rate-bits", "1e6", 3),
+        ("--codebook-sizes", "0", 2), ("--codebook-sizes", "-3", 2),
+    ])
+    def test_bad_codebook_rate_exits_before_output(self, tmp_path, capsys, flag, value, code):
+        out = tmp_path / "sim"
+        rc = run("simulate", "--n", 8, "--k-true", 2, "--k", 2, "--gammas", 0, flag, value,
+                 "--out", out)
+        err = capsys.readouterr().err
+        assert rc == code and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_outdir_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ascoding import comms
-from ascoding.capacity import exact_point_at_gamma, make_cost
+from ascoding.capacity import exact_points, make_cost
 from ascoding.comms import (
     Codebook,
     TrialRow,
@@ -15,13 +15,13 @@ from ascoding.comms import (
     error_rate_grid,
     generate_codebook,
     permute_dataset,
-    transmit_and_decode,
     wilson_interval,
 )
 from ascoding.core import Dataset, build_correspondence
+from ascoding.costs import DEFAULT_BUDGET
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import GAMMA_SLACK, decode_indices, enumerate_costs, exact_set_intersection
+from ascoding.exact import GAMMA_SLACK, ExactTables, decode_indices, enumerate_costs
 from ascoding.rng import derive_rng, derive_seed
 
 
@@ -46,6 +46,22 @@ class TestCodebook:
     def test_maximum_size(self):
         with pytest.raises(BudgetError, match="maximum"):
             generate_codebook(12, rate_bits=2.0, seed=0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -0.5])
+    def test_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError, match="rate_bits"):
+            generate_codebook(8, rate_bits=rate, seed=0)
+
+    @pytest.mark.parametrize("rate", [1e6, 1e300])
+    def test_huge_rate_exceeds_maximum_without_overflow(self, rate):
+        with pytest.raises(BudgetError, match="maximum"):
+            generate_codebook(8, rate_bits=rate, seed=0)
+
+    def test_size_at_the_maximum_is_kept(self):
+        # 7 * (log2(137) / 7) rounds to just above log2(137): m is still 137
+        rate = math.log2(137) / 7
+        assert 7 * rate > math.log2(137)
+        assert generate_codebook(7, rate_bits=rate, seed=0, max_size=137).m == 137
 
     def test_deterministic(self):
         a = generate_codebook(6, rate_bits=0.5, seed=123)
@@ -88,6 +104,17 @@ class TestPermuteDataset:
         x1, _ = blob_pair
         with pytest.raises(ValueError):
             permute_dataset(x1, np.arange(5))
+
+
+def decoder_scores(codebook, sent, train, test, family, k, gamma, budget=DEFAULT_BUDGET):
+    """Overlap scores of one channel use, from the calls error_rate_grid
+    makes: the training and received tables, then one scoring gather."""
+    received = permute_dataset(test, codebook.sigmas[sent])
+    table1, table_r = (enumerate_costs(make_cost(family, x, k), budget=budget)
+                       for x in (train, received))
+    codewords = comms._codeword_weights(codebook, build_correspondence(train, test), k)
+    return comms._overlap_scores(table_r.members(gamma),
+                                 comms._shifted_member_digits(table1, gamma), codewords)
 
 
 def oracle_scores(codebook, sent_index, train, fresh_test, k, gamma):
@@ -161,8 +188,8 @@ class TestTransmitAndDecode:
                                           enumerate_costs(make_cost(family, received, k)))]))
         # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
         for gamma in (*gaps[:4], gaps[-1], math.inf):
-            res = transmit_and_decode(codebook, sent, train, test, family, k, gamma)
-            assert res.overlap_scores.tolist() == reference_decoder_scores(
+            scores = decoder_scores(codebook, sent, train, test, family, k, gamma)
+            assert scores.tolist() == reference_decoder_scores(
                 codebook, sent, train, test, family, k, gamma)
 
     def test_noise_free_decodes_exactly(self, blob_pair):
@@ -171,39 +198,38 @@ class TestTransmitAndDecode:
         x1, _ = blob_pair
         cb = generate_codebook(8, rate_bits=3 / 8, seed=1)
         for sent in range(cb.m):
-            res = transmit_and_decode(cb, sent, x1, x1, "kmeans", 2, gamma=0.0)
-            assert res.correct and res.decoded_index == sent
+            scores = decoder_scores(cb, sent, x1, x1, "kmeans", 2, gamma=0.0)
+            assert int(np.argmax(scores)) == sent
 
     def test_gamma_inf_degenerate(self, blob_pair):
         x1, x2 = blob_pair
         cb = generate_codebook(8, rate_bits=2 / 8, seed=1)
-        res = transmit_and_decode(cb, 2, x1, x2, "kmeans", 2, gamma=np.inf)
-        assert np.all(res.overlap_scores == 2**8)
-        assert res.decoded_index == 0 and not res.correct
+        scores = decoder_scores(cb, 2, x1, x2, "kmeans", 2, gamma=np.inf)
+        assert np.all(scores == 2**8)
+        assert int(np.argmax(scores)) == 0  # ties decode to the lowest index, not the sent 2
 
     @pytest.mark.parametrize("gamma", [0.0, 1.5, 4.0])
     def test_matches_independent_oracle(self, blob_pair, gamma):
         x1, x2 = blob_pair
         cb = generate_codebook(8, rate_bits=2 / 8, seed=3)
         sent = 1
-        res = transmit_and_decode(cb, sent, x1, x2, "kmeans", 2, gamma=gamma)
-        assert res.overlap_scores.tolist() == oracle_scores(cb, sent, x1, x2, 2, gamma)
+        scores = decoder_scores(cb, sent, x1, x2, "kmeans", 2, gamma=gamma)
+        assert scores.tolist() == oracle_scores(cb, sent, x1, x2, 2, gamma)
 
     def test_sent_score_is_canonical_intersection(self, blob_pair):
         x1, x2 = blob_pair
         cb = generate_codebook(8, rate_bits=3 / 8, seed=2)
-        t1 = enumerate_costs(make_cost("kmeans", x1, 2))
-        t2 = enumerate_costs(make_cost("kmeans", x2, 2))
-        corr = build_correspondence(x1, x2)
         for gamma in (0.0, 2.0, 6.0):
-            res = transmit_and_decode(cb, 4, x1, x2, "kmeans", 2, gamma=gamma)
-            assert res.overlap_scores[4] == exact_set_intersection(t1, t2, corr, gamma)
+            scores = decoder_scores(cb, 4, x1, x2, "kmeans", 2, gamma=gamma)
+            # the identity codeword's full-table score on the unpermuted test
+            # sample counts the two-sample intersection
+            assert scores[4] == reference_decoder_scores(cb, 0, x1, x2, "kmeans", 2, gamma)[0]
 
     def test_budget_respected(self, blob_pair):
         x1, x2 = blob_pair
         cb = generate_codebook(8, rate_bits=1 / 8, seed=0)
         with pytest.raises(BudgetError):
-            transmit_and_decode(cb, 0, x1, x2, "kmeans", 2, gamma=0.0, budget=4)
+            decoder_scores(cb, 0, x1, x2, "kmeans", 2, gamma=0.0, budget=4)
 
 
 class TestErrorBound:
@@ -289,8 +315,8 @@ class TestErrorRate:
 
 def per_cell_reference(codebooks, spec, family, k, gammas, trials, seed, compute_bound):
     """The per-cell composition the grid replaces: every (codebook, gamma)
-    cell redraws each trial's pair, decodes it with transmit_and_decode and
-    calibrates its own bound with exact_point_at_gamma. One
+    cell redraws each trial's pair, decodes it with the full-table
+    reference decoder and calibrates its own bound on fresh exact tables. One
     (rows, errors, wilson_low, wilson_high, bound) tuple per cell."""
     out = []
     for cb in codebooks:
@@ -300,15 +326,19 @@ def per_cell_reference(codebooks, spec, family, k, gammas, trials, seed, compute
             for t in range(trials):
                 x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
                 sent = int(derive_rng(seed, t, 1).integers(cb.m))
-                res = transmit_and_decode(cb, sent, x1, x2, family, k, gamma)
-                errors += 0 if res.correct else 1
-                top = np.sort(res.overlap_scores)[::-1]
+                scores = reference_decoder_scores(cb, sent, x1, x2, family, k, gamma)
+                decoded = int(np.argmax(scores))
+                errors += 0 if decoded == sent else 1
+                top = sorted(scores, reverse=True)
                 rows.append(TrialRow(
-                    trial=t, sent=sent, decoded=res.decoded_index, correct=res.correct,
-                    best_score=int(top[0]), second_score=int(top[1]) if cb.m > 1 else 0,
+                    trial=t, sent=sent, decoded=decoded, correct=decoded == sent,
+                    best_score=top[0], second_score=top[1] if cb.m > 1 else 0,
                 ))
                 if compute_bound:
-                    pt = exact_point_at_gamma(x1, x2, family, k, gamma)
+                    tables = ExactTables.enumerate(make_cost(family, x1, k),
+                                                   make_cost(family, x2, k),
+                                                   build_correspondence(x1, x2))
+                    (pt,) = exact_points(tables, [tables.beta_for_gamma(gamma)], "multinomial")
                     bounds.append(error_bound(pt.info, cb.rate_bits, spec.n))
             lo, hi = wilson_interval(errors, trials)
             row.append((tuple(rows), errors, lo, hi,
@@ -374,6 +404,8 @@ class TestErrorRateGrid:
         x1, x2 = blob_pair
         cb = generate_codebook(8, rate_bits=1 / 8, seed=0)
         with pytest.raises(ValueError, match="gamma"):
-            transmit_and_decode(cb, 0, x1, x2, "kmeans", 2, gamma=math.nan)
+            decoder_scores(cb, 0, x1, x2, "kmeans", 2, gamma=math.nan)
+        tables = ExactTables.enumerate(make_cost("kmeans", x1, 2), make_cost("kmeans", x2, 2),
+                                       build_correspondence(x1, x2))
         with pytest.raises(ValueError, match="gamma"):
-            exact_point_at_gamma(x1, x2, "kmeans", 2, gamma=math.nan)
+            tables.beta_for_gamma(math.nan)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ascoding import comms
 from ascoding.capacity import exact_points
 from ascoding.core import (
     Assignment,
@@ -21,12 +22,10 @@ from ascoding.exact import (
     GAMMA_SLACK,
     CostTable,
     ExactTables,
-    approx_set_size,
     decode_indices,
     enumerate_costs,
     exact_log_partition,
     exact_moments,
-    exact_set_intersection,
     joint_cost_table,
 )
 
@@ -38,6 +37,21 @@ def vecs(*rows):
 def encode(labels, k):
     """m x n label matrix -> table indices, object 0 least significant."""
     return (labels - 1) @ k ** np.arange(labels.shape[1])
+
+
+def set_size(table, gamma):
+    """|C_gamma|: k per slice member."""
+    return table.k * int(table.members(gamma).sum())
+
+
+def decoded_intersection(table1, table2, corr, gamma):
+    """The channel decoder's score of the identity codeword when table2 is
+    the received table: the two-sample approximation-set intersection."""
+    identity = comms.Codebook(sigmas=np.arange(table1.n)[None], rate_bits=0.0, seed=0)
+    (score,) = comms._overlap_scores(table2.members(gamma),
+                                     comms._shifted_member_digits(table1, gamma),
+                                     comms._codeword_weights(identity, corr, table1.k))
+    return int(score)
 
 
 def mean_cost(table, beta):
@@ -105,10 +119,10 @@ class TestEnumerate:
 
 class TestApproxSetSize:
     def test_gamma_zero_counts_minimizers(self, three_point_table):
-        assert approx_set_size(three_point_table, 0.0) == 2  # optimum and its label swap
+        assert set_size(three_point_table, 0.0) == 2  # optimum and its label swap
 
     def test_gamma_inf_is_whole_class(self, three_point_table):
-        assert approx_set_size(three_point_table, np.inf) == 8
+        assert set_size(three_point_table, np.inf) == 8
 
     def test_unique_minimizer(self):
         # one minimizing partition of three points: the slice keeps one of
@@ -117,16 +131,16 @@ class TestApproxSetSize:
         ref = reference_table(cost)
         table = CostTable.from_costs(ref.costs[::2], n=3, k=2)
         assert (table.costs == table.r_min).sum() == 1
-        assert approx_set_size(table, 0.0) == reference_size(ref, 0.0) == 2
+        assert set_size(table, 0.0) == reference_size(ref, 0.0) == 2
 
     def test_nondecreasing_in_gamma(self, three_point_table):
-        sizes = [approx_set_size(three_point_table, g) for g in np.linspace(0, 20, 40)]
+        sizes = [set_size(three_point_table, g) for g in np.linspace(0, 20, 40)]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] == 8
 
     def test_negative_gamma_rejected(self, three_point_table):
         with pytest.raises(ValueError):
-            approx_set_size(three_point_table, -0.1)
+            set_size(three_point_table, -0.1)
         with pytest.raises(ValueError):
             three_point_table.members(float("nan"))
 
@@ -134,7 +148,7 @@ class TestApproxSetSize:
         table = CostTable.from_costs(np.array([1.0, 2.0, 2.0 + 0.5 * GAMMA_SLACK, 4.0]), n=3, k=2)
         assert table.members(1.0).tolist() == [True, True, True, False]
         assert table.members(1.0 - 2 * GAMMA_SLACK).tolist() == [True, False, False, False]
-        assert approx_set_size(table, 1.0) == 2 * int(table.members(1.0).sum()) == 6
+        assert 2 * int(table.members(1.0).sum()) == 6
 
 
 class TestLogPartition:
@@ -240,15 +254,15 @@ class TestSetIntersection:
     def test_identical_full_overlap(self, three_point_table):
         corr = Correspondence.identity(3)
         for g in (0.0, 1.0, 5.0):
-            assert exact_set_intersection(three_point_table, three_point_table, corr, g) == \
-                approx_set_size(three_point_table, g)
+            assert decoded_intersection(three_point_table, three_point_table, corr, g) == \
+                set_size(three_point_table, g)
 
     def test_unstable_minimizer_misses(self):
         train, test = vecs([0.0], [10.0]), vecs([4.9], [5.0])
         t1 = enumerate_costs(KMeansCost(train, 2))
         t2 = enumerate_costs(KMeansCost(test, 2))
         corr = build_correspondence(train, test)
-        assert exact_set_intersection(t1, t2, corr, 0.0) == 0
+        assert decoded_intersection(t1, t2, corr, 0.0) == 0
 
     def test_two_sample_oracle(self, gaussian_pair):
         x1, x2 = gaussian_pair
@@ -262,7 +276,7 @@ class TestSetIntersection:
                 if c1.evaluate(c) <= t1.r_min + gamma + 1e-12
                 and c2.evaluate(c[corr.nu]) <= t2.r_min + gamma + 1e-12
             )
-            assert exact_set_intersection(t1, t2, corr, gamma) == direct
+            assert decoded_intersection(t1, t2, corr, gamma) == direct
 
     def test_bounded_by_training_set_size(self, gaussian_pair):
         x1, x2 = gaussian_pair
@@ -270,7 +284,7 @@ class TestSetIntersection:
         t2 = enumerate_costs(KMeansCost(x2, 2))
         corr = build_correspondence(x1, x2)
         for gamma in np.linspace(0, 10, 15):
-            assert exact_set_intersection(t1, t2, corr, gamma) <= approx_set_size(t1, gamma)
+            assert decoded_intersection(t1, t2, corr, gamma) <= set_size(t1, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +388,7 @@ class TestSplitHalfAgainstReference:
                 if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
                     assert new.argmin_index == ref.argmin_index
                 for gap in np.unique(ref.costs - ref.r_min):
-                    assert approx_set_size(new, gap) == reference_size(ref, gap)
+                    assert set_size(new, gap) == reference_size(ref, gap)
 
     @settings(max_examples=150, deadline=None)
     @given(inst=instances())
@@ -388,7 +402,7 @@ class TestSplitHalfAgainstReference:
         # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
         gaps = np.unique(np.concatenate([t1.costs - t1.r_min, t2.costs - t2.r_min]))
         for gamma in (*gaps[:6], *gaps[-2:]):
-            assert exact_set_intersection(t1, t2, corr, gamma) == \
+            assert decoded_intersection(t1, t2, corr, gamma) == \
                 reference_intersection(t1, t2, nu, gamma)
 
     def test_k_above_n_and_single_object(self):
@@ -411,7 +425,7 @@ class TestSplitHalfAgainstReference:
         corr = build_correspondence(x1, x2)
         assert np.array_equal(joint_cost_table(t1, t2, corr).costs,
                               reference_joint(t1, t2, corr.nu))
-        assert exact_set_intersection(t1, t2, corr, 3.0) == \
+        assert decoded_intersection(t1, t2, corr, 3.0) == \
             reference_intersection(t1, t2, corr.nu, 3.0)
         for beta in (0.0, 0.7):
             assert mean_cost(t1, beta) == pytest.approx(
@@ -471,8 +485,8 @@ class TestCanonicalSliceAgainstFull:
         can1, can2 = enumerate_costs(cost1), enumerate_costs(cost2)
         gaps = np.unique(np.concatenate([full1.costs - full1.r_min, full2.costs - full2.r_min]))
         for gamma in (*gaps[:6], *gaps[-2:]):
-            assert approx_set_size(can1, gamma) == reference_size(full1, gamma)
-            assert exact_set_intersection(can1, can2, corr, gamma) == \
+            assert set_size(can1, gamma) == reference_size(full1, gamma)
+            assert decoded_intersection(can1, can2, corr, gamma) == \
                 reference_full_intersection(full1, full2, nu, gamma)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 4), (3, 4), (4, 2)])

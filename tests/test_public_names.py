@@ -1,6 +1,6 @@
-"""Public names: every module's __all__ resolves, the package root
-exports README's quick-start names and no name README does not list, and no
-module reaches into another module's private (_-prefixed) names."""
+"""Public names: every module's __all__ resolves and is used, the package
+root exports README's quick-start names and no name README does not list,
+and no module reaches into another module's private (_-prefixed) names."""
 import ast
 import importlib
 import pkgutil
@@ -28,6 +28,28 @@ def test_module_all_resolves(module):
     exec(f"from ascoding.{module} import *", namespace)
     exported = getattr(importlib.import_module(f"ascoding.{module}"), "__all__", ())
     assert all(name in namespace for name in exported)
+
+
+def names_used_in_src() -> set[str]:
+    """Every name read in src/ (a bare name or an attribute), except where a
+    top-level function or class reads its own name."""
+    used = set()
+    for source in SOURCES:
+        for stmt in ast.parse(source.read_text()).body:
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            used |= names - {getattr(stmt, "name", None)}
+    return used
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_name_has_a_use(module):
+    # no public helper exists only for its tests: each exported name is used
+    # by the package itself or documented for users in README
+    used = names_used_in_src()
+    exported = getattr(importlib.import_module(f"ascoding.{module}"), "__all__", ())
+    unused = [name for name in exported if name not in used and f"`{name}`" not in README]
+    assert not unused, unused
 
 
 def test_quick_start_names_import_from_package():
