@@ -157,6 +157,8 @@ def cmd_simulate(args) -> int:
         sizes = _int_list(args.codebook_sizes)
         if min(sizes, default=1) < 1:
             raise ValueError(f"codebook sizes must be >= 1, got {args.codebook_sizes!r}")
+        if max(sizes, default=1) > args.max_codebook:  # np.log2 fails on ints past int64
+            raise BudgetError(f"codebook size {max(sizes)} exceeds maximum {args.max_codebook}")
         rates = [float(np.log2(m)) / args.n for m in sizes]
     elif args.rate_bits:
         rates = _float_list(args.rate_bits)

@@ -7,10 +7,10 @@ All entropies are in nats.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Kind",
@@ -193,11 +193,14 @@ def type_entropy(t: TypeDistribution) -> float:
 def log_type_class_size(t: TypeDistribution, asymptotic: bool = False) -> float:
     """Log-count of label vectors sharing this type.
 
-    Default is the exact log multinomial coefficient log(n! / prod n_v!); with
-    asymptotic=True returns n * H(p), the leading-order exponent, which
-    overestimates the exact count by O(log n).
+    Default is the log of the exact multinomial coefficient n! / prod n_v!, an
+    integer; with asymptotic=True returns n * H(p), the leading-order exponent,
+    which overestimates the exact count by O(log n).
     """
     if asymptotic:
         return t.n * type_entropy(t)
-    n = t.n
-    return float(gammaln(n + 1) - gammaln(t.counts + 1).sum())
+    count, left = 1, t.n
+    for n_v in t.counts.tolist():
+        count *= math.comb(left, n_v)
+        left -= n_v
+    return math.log(count)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import isotonic_regression
 
 from .costs import COST_RESOLUTION, CostFunction
 from .rng import derive_rng
@@ -83,8 +81,19 @@ class FreeEnergyCurve:
 
     def smoothed_mean_cost(self) -> np.ndarray:
         """Nonincreasing (isotonic) fit of the mean-cost estimates; keeps the
-        gamma read off the curve monotone in beta despite Monte-Carlo noise."""
-        return isotonic_regression(self.mean_cost, increasing=False).x
+        gamma read off the curve monotone in beta despite Monte-Carlo noise.
+        Pool-adjacent-violators: a block whose mean exceeds its left
+        neighbour's merges into it."""
+        sums: list[float] = []
+        counts: list[int] = []
+        for y in self.mean_cost.tolist():
+            sums.append(y)
+            counts.append(1)
+            while len(sums) > 1 and sums[-2] / counts[-2] < sums[-1] / counts[-1]:
+                total, count = sums.pop(), counts.pop()
+                sums[-1] += total
+                counts[-1] += count
+        return np.repeat(np.divide(sums, counts), counts)
 
     def monotonicity_violations(self, z: float = 2.0) -> int:
         """Count of successive mean-cost increases beyond z combined standard
@@ -138,9 +147,10 @@ def _level_means(cost: CostFunction, cfg: GibbsConfig) -> np.ndarray:
 
 
 def thermo_integrate_logZ(cost: CostFunction, cfg: GibbsConfig) -> FreeEnergyCurve:
-    """Estimate mean costs on the grid and integrate them into log Z(beta),
-    anchored at the analytic log Z(0) = n log k. The standard error at each
-    grid point is taken across chains (0.0 for a single chain)."""
+    """Estimate mean costs on the grid and integrate them by the trapezoid
+    rule into log Z(beta), anchored at the analytic log Z(0) = n log k. The
+    standard error at each grid point is taken across chains (0.0 for a
+    single chain)."""
     betas = np.asarray(cfg.beta_grid)
     per_chain = _level_means(cost, cfg)
     means = per_chain.mean(axis=0)
@@ -148,7 +158,8 @@ def thermo_integrate_logZ(cost: CostFunction, cfg: GibbsConfig) -> FreeEnergyCur
         errs = per_chain.std(axis=0, ddof=1) / np.sqrt(cfg.chains)
     else:
         errs = np.zeros_like(means)
-    log_z = cost.n * np.log(cost.k) - cumulative_trapezoid(means, betas, initial=0.0)
+    areas = np.cumsum(np.diff(betas) * (means[1:] + means[:-1]) / 2.0)
+    log_z = cost.n * np.log(cost.k) - np.concatenate(([0.0], areas))
     return FreeEnergyCurve(betas=betas, log_z=log_z, mean_cost=means, stderr=errs,
                            n=cost.n, k=cost.k)
 

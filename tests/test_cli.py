@@ -208,6 +208,24 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == snapshot
 
 
+def test_cli_imports_numpy_and_the_standard_library_only():
+    """numpy is the package's only runtime dependency. Any further import,
+    direct or through another module, would add its load time and memory to
+    every command."""
+    src = str(Path(ascoding.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # modules loaded from a file; compiled extensions also register a few
+    # runtime modules that have none
+    code = ("import sys; before = set(sys.modules); import ascoding.cli; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before"
+            " if getattr(sys.modules[m], '__file__', None)}"
+            " - set(sys.stdlib_module_names)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "['ascoding', 'numpy']"
+
+
 def test_exact_outputs_independent_of_blas_threads(tmp_path):
     """Rerunning at another OpenBLAS thread count writes the same bytes. At
     n=14 a BLAS dot over the 2^14-row table already changed the last digits
@@ -293,6 +311,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("flag, value, code", [
         ("--rate-bits", "inf", 2), ("--rate-bits", "nan", 2), ("--rate-bits", "1e6", 3),
         ("--codebook-sizes", "0", 2), ("--codebook-sizes", "-3", 2),
+        ("--codebook-sizes", "4097", 3), ("--codebook-sizes", "99999999999999999999", 3),
     ])
     def test_bad_codebook_rate_exits_before_output(self, tmp_path, capsys, flag, value, code):
         out = tmp_path / "sim"

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ class TestTypes:
         counts = np.array(counts)
         t = TypeDistribution(counts=counts, p=counts / counts.sum())
         assert log_type_class_size(t) == pytest.approx(expected, abs=1e-9)
+
+    @given(st.integers(1, 400), st.lists(st.integers(0, 400), max_size=4))
+    def test_log_type_class_size_within_one_ulp(self, n, cuts):
+        # k <= 5 counts summing to n, against a 40-digit log of the exact
+        # multinomial coefficient
+        edges = [0, *sorted(min(c, n) for c in cuts), n]
+        counts = [b - a for a, b in zip(edges, edges[1:])]
+        multinomial = math.factorial(n)
+        for n_v in counts:
+            multinomial //= math.factorial(n_v)
+        reference = float(Decimal(multinomial).ln(Context(prec=40)))
+        counts = np.array(counts)
+        t = TypeDistribution(counts=counts, p=counts / n)
+        assert abs(log_type_class_size(t) - reference) <= math.ulp(reference)
 
     def test_asymptotic_option_is_n_times_entropy(self):
         t = TypeDistribution(counts=np.array([2, 6]), p=np.array([0.25, 0.75]))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import JointCost, KMeansCost, PairwiseCost
@@ -239,6 +240,14 @@ class TestThermoIntegration:
         curve = thermo_integrate_logZ(cost, cfg)
         assert np.allclose(curve.log_z, 3 * math.log(2))
 
+    def test_log_z_is_the_trapezoid_rule(self, km_curve):
+        betas, means = km_curve.betas.tolist(), km_curve.mean_cost.tolist()
+        expected = [8 * math.log(2)]
+        for i in range(1, len(betas)):
+            area = (betas[i] - betas[i - 1]) * (means[i] + means[i - 1]) / 2
+            expected.append(expected[-1] - area)
+        assert km_curve.log_z.tolist() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_invariants(self, km_curve):
         assert km_curve.log_z[0] == 8 * math.log(2)
         assert np.all(np.diff(km_curve.log_z) <= 1e-12)
@@ -278,6 +287,27 @@ class TestFreeEnergyCurve:
                                 stderr=np.full(4, 0.2), n=4, k=2)
         smoothed = curve.smoothed_mean_cost()
         assert smoothed == pytest.approx([10.0, 6.2, 6.2, 2.0], abs=1e-12)
+        assert np.all(np.diff(smoothed) <= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-3.0, -0.5, 0.0, 0.25, 1.0, 4.0])
+                    | st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=12))
+    @example([2.5])
+    @example([1.0, 3.0])
+    @example([3.0, 1.0])
+    @example([0.7] * 6)
+    @example([5.0, 4.0, 4.0, 1.0, -2.0])
+    def test_smoothed_mean_cost_matches_min_max_formula(self, ys):
+        # the nonincreasing least-squares fit is
+        # f_i = min over a <= i of max over b >= i of mean(y[a..b])
+        n = len(ys)
+        curve = FreeEnergyCurve(betas=np.arange(float(n)), log_z=np.zeros(n),
+                                mean_cost=np.array(ys), stderr=np.zeros(n), n=n, k=2)
+        smoothed = curve.smoothed_mean_cost()
+        reference = [min(max(math.fsum(ys[a:b + 1]) / (b + 1 - a) for b in range(i, n))
+                         for a in range(i + 1)) for i in range(n)]
+        assert smoothed.shape == (n,)
+        assert smoothed == pytest.approx(reference, abs=1e-12 * max(1.0, *map(abs, ys)))
         assert np.all(np.diff(smoothed) <= 0.0)
 
 
