@@ -56,6 +56,7 @@ __all__ = [
 
 GAMMA_SLACK = 1e-12  # absolute float slack on the approximation threshold
 _BLOCK = 1 << 15
+_TILE = 1 << 13  # 64 KiB, below glibc's mmap threshold: tiles reuse heap pages
 
 
 def decode_indices(indices: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -135,9 +136,9 @@ def _half_labels(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _blocks(rows: int, cols: int):
     """(hi, lo) slice pairs tiling a rows x cols table in blocks of at most
-    _BLOCK entries."""
-    step_lo = min(cols, _BLOCK)
-    step_hi = max(1, _BLOCK // step_lo)
+    _TILE entries."""
+    step_lo = min(cols, _TILE)
+    step_hi = max(1, _TILE // step_lo)
     for h0 in range(0, rows, step_hi):
         for l0 in range(0, cols, step_lo):
             yield slice(h0, min(h0 + step_hi, rows)), slice(l0, min(l0 + step_lo, cols))

@@ -416,6 +416,7 @@ class TestSplitHalfAgainstReference:
         import ascoding.exact as ex
 
         monkeypatch.setattr(ex, "_BLOCK", 8)
+        monkeypatch.setattr(ex, "_TILE", 8)
         x1, x2, _ = draw_paired_samples(MixtureSpec(n=9, d=2, k_true=2, noise_sigma=1.0,
                                                     separation=3.0, seed=5))
         for cost in (KMeansCost(x1, 3), PairwiseCost(dissimilarity_from_vectors(x1), 2)):
