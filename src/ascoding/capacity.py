@@ -10,7 +10,10 @@ type, logZ1/logZ2 are the single-sample log partition functions, and logDZ
 is the joint (two-sample overlap) log partition function. The approximation
 width gamma(beta) is the training Boltzmann mean cost in excess of the
 empirical minimum, so sweeping beta sweeps gamma monotonically; the optimal
-precision is the grid point of maximal info.
+precision is the grid point of maximal info. `CapacityPoint.info` is this
+formula, read off the point's log-counts. Every setting of both engines is
+validated once, when its `CapacityConfig` is built, before any table is
+enumerated or any chain runs.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from .costs import (
 from .datagen import dissimilarity_from_vectors, write_csv_rows
 from .errors import BudgetError
 from .rng import derive_seed
-from .thermo import FreeEnergyCurve, GibbsConfig, default_beta_grid, thermo_integrate_logZ
+from .thermo import FreeEnergyCurve, default_beta_grid, thermo_integrate_logZ
 
 __all__ = [
     "CapacityPoint",
@@ -67,13 +70,12 @@ class CapacityPoint:
     log_z1: float
     log_z2: float
     log_dz: float
-    info: float
     n: int
 
-    def __post_init__(self):
-        expected = (self.log_nsigma + self.log_dz - self.log_z1 - self.log_z2) / self.n
-        if abs(self.info - expected) > 1e-9:
-            raise ValueError("info is inconsistent with its components")
+    @property
+    def info(self) -> float:
+        """The per-object information rate of the module docstring."""
+        return (self.log_nsigma + self.log_dz - self.log_z1 - self.log_z2) / self.n
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,10 @@ class CapacityCurve:
 
 @dataclass(frozen=True)
 class CapacityConfig:
-    """Grid, budget and sampler settings shared by both engines."""
+    """Grid, budget and sampler settings shared by both engines, validated
+    once here. An explicit beta_grid starts at 0, is finite and strictly
+    increasing, and is stored as a tuple of floats; None asks each engine
+    for its own grid of grid_points betas."""
 
     beta_grid: tuple[float, ...] | None = None
     grid_points: int = 25
@@ -120,8 +125,14 @@ class CapacityConfig:
     def __post_init__(self):
         if self.nsigma not in ("multinomial", "asymptotic"):
             raise ValueError("nsigma must be 'multinomial' or 'asymptotic'")
-        if self.beta_grid is not None and not all(0.0 <= b < np.inf for b in self.beta_grid):
-            raise ValueError(f"beta_grid must be finite and >= 0, got {self.beta_grid!r}")
+        if self.beta_grid is not None:
+            grid = tuple(float(b) for b in self.beta_grid)
+            # `<` is false for NaN, so a NaN anywhere fails the order check
+            if not (grid and grid[0] == 0.0 and grid[-1] < np.inf
+                    and all(b1 < b2 for b1, b2 in zip(grid, grid[1:]))):
+                raise ValueError("beta_grid must be finite, strictly increasing and start "
+                                 f"at 0, got {self.beta_grid!r}")
+            object.__setattr__(self, "beta_grid", grid)
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         for name in ("chains", "sweeps_burnin", "sweeps_measure", "restarts"):
@@ -156,16 +167,19 @@ def exact_points(tables: ex.ExactTables, betas, nsigma: str) -> tuple[CapacityPo
         lz2 = ex.exact_log_partition(tables.table2, beta)
         ldz = ex.exact_log_partition(tables.joint, beta)
         points.append(CapacityPoint(beta=beta, gamma=gamma, log_nsigma=log_ns, log_z1=lz1,
-                                    log_z2=lz2, log_dz=ldz, info=(log_ns + ldz - lz1 - lz2) / n,
-                                    n=n))
+                                    log_z2=lz2, log_dz=ldz, n=n))
     return tuple(points)
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ("auto", "exact", "sampled"):
+        raise ValueError(f"unknown engine {engine!r}")
+
+
 def _pick_engine(engine: str, n: int, k: int, budget: int) -> str:
+    _check_engine(engine)
     if engine == "auto":
         return "exact" if k**n <= budget else "sampled"
-    if engine not in ("exact", "sampled"):
-        raise ValueError(f"unknown engine {engine!r}")
     return engine
 
 
@@ -202,29 +216,25 @@ def capacity_curve(
     log_ns = _log_nsigma_of(minimizer, cfg.nsigma)
     grid = cfg.beta_grid or default_beta_grid(cost1, points=cfg.grid_points, seed=cfg.seed)
 
-    def gibbs(salt: int) -> GibbsConfig:
-        return GibbsConfig(beta_grid=grid, sweeps_burnin=cfg.sweeps_burnin,
-                           sweeps_measure=cfg.sweeps_measure, chains=cfg.chains,
-                           seed=derive_seed(cfg.seed, salt))
+    def integrate(cost: CostFunction, salt: int) -> FreeEnergyCurve:
+        return thermo_integrate_logZ(cost, dataclasses.replace(
+            cfg, beta_grid=grid, seed=derive_seed(cfg.seed, salt)))
 
-    curve1 = thermo_integrate_logZ(cost1, gibbs(1))
-    curve2 = thermo_integrate_logZ(cost2, gibbs(2))
-    joint = thermo_integrate_logZ(JointCost(cost1, cost2, corr), gibbs(3))
+    curve1 = integrate(cost1, 1)
+    curve2 = integrate(cost2, 2)
+    joint = integrate(JointCost(cost1, cost2, corr), 3)
     gammas = np.maximum(curve1.smoothed_mean_cost() - r_min, 0.0)
     # an excess below the costs' rounding noise is the ground state: levels
     # that all sit in it then tie at gamma 0, and the lowest beta wins
     gammas[gammas < COST_RESOLUTION * (abs(r_min) + gammas[0])] = 0.0
+    points = tuple(CapacityPoint(
+        beta=float(beta), gamma=float(gammas[i]), log_nsigma=log_ns,
+        log_z1=float(curve1.log_z[i]), log_z2=float(curve2.log_z[i]),
+        log_dz=float(joint.log_z[i]), n=train.n,
+    ) for i, beta in enumerate(grid))
     r_joint = r_min + cost2.evaluate(minimizer.labels[corr.nu])
     warnings = _sampled_warnings(curve1, curve2, joint, r_min, r_joint, log_ns)
-    points = []
-    for i, beta in enumerate(grid):
-        info = (log_ns + joint.log_z[i] - curve1.log_z[i] - curve2.log_z[i]) / train.n
-        points.append(CapacityPoint(
-            beta=float(beta), gamma=float(gammas[i]), log_nsigma=log_ns,
-            log_z1=float(curve1.log_z[i]), log_z2=float(curve2.log_z[i]),
-            log_dz=float(joint.log_z[i]), info=float(info), n=train.n,
-        ))
-    return CapacityCurve(points=tuple(points), engine="sampled", cost_name=cost_family,
+    return CapacityCurve(points=points, engine="sampled", cost_name=cost_family,
                          n=train.n, k=k, warnings=warnings)
 
 
@@ -274,19 +284,21 @@ def optimal_gamma(curve: CapacityCurve) -> tuple[float, float, float]:
 class CandidateScore:
     cost_family: str
     k: int
-    info_star: float
-    gamma_star: float
-    beta_star: float
-    curve: CapacityCurve | None = None
+    curve: CapacityCurve
+
+    @property
+    def info_star(self) -> float:
+        return self.curve.best.info
 
     def summary(self) -> dict:
+        best = self.curve.best
         out = {
             "candidate": {"cost": self.cost_family, "k": self.k},
-            "info_star": self.info_star,
-            "gamma_star": self.gamma_star,
-            "beta_star": self.beta_star,
+            "info_star": best.info,
+            "gamma_star": best.gamma,
+            "beta_star": best.beta,
         }
-        if self.curve is not None and self.curve.warnings:
+        if self.curve.warnings:
             out["warnings"] = list(self.curve.warnings)
         return out
 
@@ -313,12 +325,15 @@ def select_model(
 ) -> SelectionResult:
     """Rank (cost_family, k) candidates by their approximation capacity.
 
-    Candidates that cannot be scored (unknown family, budget exceeded, bad
-    input for the cost) are recorded and excluded; any other exception
-    propagates. Ties keep candidate order.
+    Configuration errors (an empty candidate list, an unknown engine, and
+    every setting `CapacityConfig` validates when it is built) are raised
+    before any candidate runs. Candidates that cannot be scored (unknown
+    family, budget exceeded, bad input for the cost) are recorded and
+    excluded; any other exception propagates. Ties keep candidate order.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
+    _check_engine(engine)
     scores: list[CandidateScore] = []
     failures: list[tuple[str, int, str]] = []
     for ci, (family, k) in enumerate(candidates):
@@ -329,9 +344,7 @@ def select_model(
         except (BudgetError, ValueError) as e:  # the candidate cannot be scored here
             failures.append((family, k, str(e)))
             continue
-        g, b, i = optimal_gamma(curve)
-        scores.append(CandidateScore(cost_family=family, k=k, info_star=i,
-                                     gamma_star=g, beta_star=b, curve=curve))
+        scores.append(CandidateScore(cost_family=family, k=k, curve=curve))
     return SelectionResult(ranking=_rank(scores), failures=tuple(failures))
 
 

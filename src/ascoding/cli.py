@@ -229,7 +229,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help="max k^n for exact enumeration")
     p.add_argument("--nsigma", default="multinomial", choices=("multinomial", "asymptotic"))
     p.add_argument("--beta-grid", dest="beta_grid", default=None,
-                   help="explicit comma list of betas (starting at 0)")
+                   help="explicit comma list of betas for either engine: finite, strictly "
+                   "increasing and starting at 0; any other grid exits 2")
     p.add_argument("--grid-points", dest="grid_points", type=int, default=25)
     p.add_argument("--chains", type=int, default=4)
     p.add_argument("--burnin", type=int, default=100)

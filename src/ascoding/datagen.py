@@ -8,7 +8,7 @@ sample-to-sample fluctuation comes from the measurement noise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def simplex_centers(k: int, d: int, separation: float) -> np.ndarray:
     if k == 1:
         return np.zeros((1, d))
     if d < k:
-        raise ValueError(f"auto-placed centers need d >= k_true ({d} < {k}); pass explicit centers")
+        raise ValueError(f"simplex centers need d >= k_true ({d} < {k})")
     centers = np.zeros((k, d))
     centers[:k, :k] = np.eye(k) * (separation / np.sqrt(2.0))
     return centers
@@ -45,7 +45,8 @@ def simplex_centers(k: int, d: int, separation: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Mixture of k_true components in d dimensions with measurement noise."""
+    """Mixture of k_true equally likely components in d dimensions, centred
+    on a regular simplex with edge `separation`, with measurement noise."""
 
     n: int
     d: int
@@ -53,9 +54,8 @@ class MixtureSpec:
     noise_sigma: float
     seed: int
     separation: float | None = None
-    centers: np.ndarray | None = None
-    weights: np.ndarray | None = None
     balanced: bool = False  # equal occupancy instead of multinomial draws
+    centers: np.ndarray = field(init=False, repr=False, compare=False)  # from the fields above
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.k_true < 1:
@@ -64,35 +64,18 @@ class MixtureSpec:
             raise ValueError("balanced occupancy requires k_true to divide n")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-        if self.centers is None:
-            if self.separation is None and self.k_true > 1:
-                raise ValueError("either centers or separation must be given")
-            centers = simplex_centers(self.k_true, self.d, self.separation or 0.0)
-        else:
-            centers = np.asarray(self.centers, dtype=np.float64)
-            if centers.shape != (self.k_true, self.d):
-                raise ValueError(f"centers must have shape ({self.k_true}, {self.d})")
-        centers = np.ascontiguousarray(centers)
+        if self.separation is None and self.k_true > 1:
+            raise ValueError("separation must be given when k_true > 1")
+        centers = simplex_centers(self.k_true, self.d, self.separation or 0.0)
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-
-        if self.weights is None:
-            weights = np.full(self.k_true, 1.0 / self.k_true)
-        else:
-            weights = np.asarray(self.weights, dtype=np.float64)
-            if weights.shape != (self.k_true,) or weights.min() < 0:
-                raise ValueError("weights must be k_true nonnegative reals")
-            if abs(weights.sum() - 1.0) > 1e-9:
-                raise ValueError("weights must sum to 1")
-            weights = weights / weights.sum()
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
 
 
 def _draw_components(spec: MixtureSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.balanced:
         return np.repeat(np.arange(spec.k_true), spec.n // spec.k_true)
-    return rng.choice(spec.k_true, size=spec.n, p=spec.weights)
+    # with p, choice draws by inverse CDF; without it, other values
+    return rng.choice(spec.k_true, size=spec.n, p=np.full(spec.k_true, 1.0 / spec.k_true))
 
 
 def draw_paired_samples(spec: MixtureSpec) -> tuple[Dataset, Dataset, Assignment]:

@@ -13,46 +13,30 @@ grid step, even pairs and odd pairs in turn. Configurations thus reach high
 beta from the well-mixed low-beta end instead of freezing where they start.
 After burn-in each replica's cost counts toward the level it occupies. All
 draws come from one generator derived from the config seed, so runs are
-reproducible bit-for-bit.
+reproducible bit-for-bit. The grid, sweep and chain counts and the seed
+come from a validated `capacity.CapacityConfig`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .costs import COST_RESOLUTION, CostFunction
 from .rng import derive_rng
 
+if TYPE_CHECKING:
+    from .capacity import CapacityConfig
+
 __all__ = [
-    "GibbsConfig",
     "FreeEnergyCurve",
     "thermo_integrate_logZ",
     "default_beta_grid",
 ]
 
 _PILOT_REPLICAS = 64  # random assignments whose site deltas set the grid's top
-
-
-@dataclass(frozen=True)
-class GibbsConfig:
-    """Chain counts and the beta grid for thermodynamic integration."""
-
-    beta_grid: tuple[float, ...]
-    sweeps_burnin: int = 100
-    sweeps_measure: int = 400
-    chains: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        grid = tuple(float(b) for b in self.beta_grid)
-        if not grid or grid[0] != 0.0:
-            raise ValueError("beta_grid must start at 0")
-        if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-            raise ValueError("beta_grid must be strictly increasing")
-        if min(self.sweeps_burnin, self.sweeps_measure, self.chains) < 1:
-            raise ValueError("sweep and chain counts must be >= 1")
-        object.__setattr__(self, "beta_grid", grid)
+_GRID_SPAN = 1000.0  # ratio of the default grid's top beta to its first nonzero one
 
 
 @dataclass(frozen=True)
@@ -95,19 +79,19 @@ class FreeEnergyCurve:
                 counts[-1] += count
         return np.repeat(np.divide(sums, counts), counts)
 
-    def monotonicity_violations(self, z: float = 2.0) -> int:
-        """Count of successive mean-cost increases beyond z combined standard
+    def monotonicity_violations(self) -> int:
+        """Count of successive mean-cost increases beyond 2 combined standard
         errors and beyond the costs' rounding noise; nonzero values flag
         under-sampling."""
         rise = np.diff(self.mean_cost)
         # replicas in one ground state report costs a few ulps apart, from
         # the rounding their statistics picked up along different moves
-        tol = z * np.sqrt(self.stderr[:-1] ** 2 + self.stderr[1:] ** 2)
+        tol = 2.0 * np.sqrt(self.stderr[:-1] ** 2 + self.stderr[1:] ** 2)
         tol += COST_RESOLUTION * np.abs(self.mean_cost).max()
         return int((rise > tol).sum())
 
 
-def _level_means(cost: CostFunction, cfg: GibbsConfig) -> np.ndarray:
+def _level_means(cost: CostFunction, cfg: CapacityConfig) -> np.ndarray:
     """Mean cost of each chain at each grid point, shape (chains, levels),
     sampled by the replica-exchange ladder."""
     betas = np.asarray(cfg.beta_grid)
@@ -146,11 +130,13 @@ def _level_means(cost: CostFunction, cfg: GibbsConfig) -> np.ndarray:
     return total / cfg.sweeps_measure
 
 
-def thermo_integrate_logZ(cost: CostFunction, cfg: GibbsConfig) -> FreeEnergyCurve:
-    """Estimate mean costs on the grid and integrate them by the trapezoid
-    rule into log Z(beta), anchored at the analytic log Z(0) = n log k. The
-    standard error at each grid point is taken across chains (0.0 for a
-    single chain)."""
+def thermo_integrate_logZ(cost: CostFunction, cfg: CapacityConfig) -> FreeEnergyCurve:
+    """Estimate mean costs on cfg's beta grid and integrate them by the
+    trapezoid rule into log Z(beta), anchored at the analytic log Z(0) =
+    n log k. The standard error at each grid point is taken across chains
+    (0.0 for a single chain)."""
+    if cfg.beta_grid is None:
+        raise ValueError("thermodynamic integration needs an explicit beta_grid")
     betas = np.asarray(cfg.beta_grid)
     per_chain = _level_means(cost, cfg)
     means = per_chain.mean(axis=0)
@@ -164,9 +150,7 @@ def thermo_integrate_logZ(cost: CostFunction, cfg: GibbsConfig) -> FreeEnergyCur
                            n=cost.n, k=cost.k)
 
 
-def default_beta_grid(
-    cost: CostFunction, points: int = 25, seed: int = 0, span: float = 1000.0
-) -> tuple[float, ...]:
+def default_beta_grid(cost: CostFunction, points: int = 25, seed: int = 0) -> tuple[float, ...]:
     """points betas: 0, then a geometric grid reaching the beta at which the
     mean acceptance of cost-increasing single-site moves drops to about 1%,
     over every site of _PILOT_REPLICAS uniform random assignments."""
@@ -190,4 +174,4 @@ def default_beta_grid(
             lo = mid
         else:
             hi = mid
-    return (0.0, *np.geomspace(hi / span, hi, points - 1))
+    return (0.0, *np.geomspace(hi / _GRID_SPAN, hi, points - 1))

@@ -19,7 +19,7 @@ from ascoding.costs import JointCost, KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
 from ascoding.exact import enumerate_costs, exact_log_partition, exact_moments, joint_cost_table
 from ascoding.capacity import make_cost
-from ascoding.thermo import GibbsConfig, default_beta_grid, thermo_integrate_logZ
+from ascoding.thermo import default_beta_grid, thermo_integrate_logZ
 
 LN2 = math.log(2)
 
@@ -63,8 +63,8 @@ def test_criterion_1_oracle_equivalence_partition_functions():
             c1 = make_cost(family, x1, 2)
             c2 = make_cost(family, x2, 2)
             grid = default_beta_grid(c1, points=16, seed=0)
-            cfg = GibbsConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=200,
-                              chains=3, seed=11)
+            cfg = CapacityConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=200,
+                                 chains=3, seed=11)
             table1 = enumerate_costs(c1)
             joint_table = joint_cost_table(table1, enumerate_costs(c2), corr)
             curve = thermo_integrate_logZ(c1, cfg)

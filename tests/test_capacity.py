@@ -226,7 +226,7 @@ class TestOptimalGamma:
     def _curve(self, infos, gammas):
         pts = tuple(
             CapacityPoint(beta=float(i), gamma=g, log_nsigma=0.0, log_z1=0.0,
-                          log_z2=0.0, log_dz=4 * v, info=v, n=4)
+                          log_z2=0.0, log_dz=4 * v, n=4)
             for i, (v, g) in enumerate(zip(infos, gammas))
         )
         return CapacityCurve(points=pts, engine="exact", cost_name="kmeans", n=4, k=2)
@@ -386,10 +386,23 @@ class TestCapacityConfig:
         curve = capacity_curve(x1, x2, "kmeans", 2, engine=engine, cfg=cfg)
         assert len(curve.points) == 5 and curve.points[0].beta == 0.0
 
-    @pytest.mark.parametrize("grid", [(0.0, math.nan), (0.0, math.inf), (0.0, -1.0)])
+    @pytest.mark.parametrize("grid", [(0.0, math.nan), (0.0, math.inf), (0.0, -1.0),
+                                      (0.0, math.nan, 1.0), ()])
     def test_beta_grid_must_be_finite_and_nonnegative(self, grid):
         with pytest.raises(ValueError, match="beta_grid"):
             CapacityConfig(beta_grid=grid)
+
+    def test_grid_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="beta_grid"):
+            CapacityConfig(beta_grid=(0.5, 1.0))
+
+    def test_grid_strictly_increasing(self):
+        with pytest.raises(ValueError, match="beta_grid"):
+            CapacityConfig(beta_grid=(0.0, 1.0, 1.0))
+
+    def test_counts_positive(self):
+        with pytest.raises(ValueError, match="chains"):
+            CapacityConfig(beta_grid=(0.0, 1.0), chains=0)
 
     @pytest.mark.parametrize("field, value", [
         ("grid_points", 1), ("grid_points", 0), ("chains", 0), ("sweeps_burnin", 0),
@@ -440,6 +453,12 @@ class TestSelectModel:
         x1, x2 = pair_n8
         with pytest.raises(ValueError):
             select_model([], x1, x2)
+
+    def test_unknown_engine_raised_not_recorded(self, pair_n8):
+        # a configuration error, not a failure of every candidate
+        x1, x2 = pair_n8
+        with pytest.raises(ValueError, match="engine"):
+            select_model([("kmeans", 2)], x1, x2, engine="exhaustive")
 
     def test_rounding_level_ties_keep_candidate_order(self):
         # on vectors the pairwise cost equals k-means, so each k's two
@@ -500,7 +519,7 @@ class TestSampledSelfChecks:
         assert self._warnings(mean2=(3.0, 1.0, 2.0), stderr2=(0.0, 0.0, 0.0)) == ()
 
     def test_warnings_reach_the_candidate_summary(self, exact_curve_n8):
-        clean = CandidateScore("kmeans", 2, 0.1, 0.0, 1.0, curve=exact_curve_n8)
+        clean = CandidateScore("kmeans", 2, exact_curve_n8)
         assert "warnings" not in clean.summary()
         flagged = dataclasses.replace(exact_curve_n8, warnings=("logZ1 below",))
         score = dataclasses.replace(clean, curve=flagged)

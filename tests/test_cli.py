@@ -275,6 +275,22 @@ class TestErrorPaths:
         assert not (tmp_path / "x" / "capacity.csv").exists()
         assert not (tmp_path / "x" / "summary.json").exists()
 
+    @pytest.mark.parametrize("command, engine, grid, output", [
+        ("select", "sampled", "1,2", "ranking.json"), ("select", "exact", "0,2,1", "ranking.json"),
+        ("capacity", "exact", "1,2", "capacity.csv"), ("capacity", "exact", "0,1,1", "capacity.csv"),
+    ])
+    def test_bad_beta_grid_exit_2_on_either_engine(self, dataset_dir, tmp_path, command, engine,
+                                                   grid, output):
+        # one grid rule for both engines: a grid that does not start at 0 or
+        # is not strictly increasing is a configuration error, never a
+        # candidate failure or a curve with a repeated row
+        out = tmp_path / "x"
+        rc = run(command, "--train", dataset_dir / "train.csv",
+                 "--test", dataset_dir / "test.csv", "--k", "1,2" if command == "select" else 2,
+                 "--engine", engine, "--beta-grid", grid, "--out", out)
+        assert rc == 2
+        assert not (out / output).exists()
+
     def test_budget_error_exit_3(self, dataset_dir, tmp_path):
         rc = run("capacity", "--train", dataset_dir / "train.csv",
                  "--test", dataset_dir / "test.csv", "--k", 2, "--engine", "exact",

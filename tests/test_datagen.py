@@ -31,16 +31,13 @@ class TestMixtureSpec:
                 assert np.linalg.norm(c[i] - c[j]) == pytest.approx(3.5, rel=1e-12)
 
     def test_simplex_needs_enough_dimensions(self):
-        with pytest.raises(ValueError, match="explicit centers"):
+        with pytest.raises(ValueError, match="d >= k_true"):
             simplex_centers(3, 2, 1.0)
 
-    def test_explicit_centers_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            spec(centers=np.zeros((2, 3)))
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            spec(weights=np.array([0.5, 0.2, 0.2]))
+    def test_equal_specs_compare_and_hash_equal(self):
+        # the centers derive from the other fields and take no part in ==
+        assert spec() == spec() and hash(spec()) == hash(spec())
+        assert spec() != spec(seed=1)
 
     def test_balanced_requires_divisibility(self):
         with pytest.raises(ValueError, match="divide"):

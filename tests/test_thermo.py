@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ascoding.capacity import CapacityConfig
 from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import JointCost, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
@@ -18,7 +19,6 @@ from ascoding.exact import (
 from ascoding.rng import derive_rng
 from ascoding.thermo import (
     FreeEnergyCurve,
-    GibbsConfig,
     default_beta_grid,
     thermo_integrate_logZ,
 )
@@ -44,27 +44,14 @@ def instance():
 def cfg_for(instance):
     x1, _ = instance
     grid = default_beta_grid(KMeansCost(x1, 2), points=21, seed=0)
-    return GibbsConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=250, chains=3, seed=5)
+    return CapacityConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=250, chains=3,
+                          seed=5)
 
 
 @pytest.fixture(scope="module")
 def km_curve(instance, cfg_for):
     x1, _ = instance
     return thermo_integrate_logZ(KMeansCost(x1, 2), cfg_for)
-
-
-class TestGibbsConfig:
-    def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            GibbsConfig(beta_grid=(0.5, 1.0))
-
-    def test_grid_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            GibbsConfig(beta_grid=(0.0, 1.0, 1.0))
-
-    def test_counts_positive(self):
-        with pytest.raises(ValueError):
-            GibbsConfig(beta_grid=(0.0, 1.0), chains=0)
 
 
 class TestGibbsSweep:
@@ -127,8 +114,8 @@ class TestEstimateMeanCost:
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
-        cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=10, sweeps_measure=400,
-                          chains=4, seed=1)
+        cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=10, sweeps_measure=400,
+                             chains=4, seed=1)
         curve = thermo_integrate_logZ(cost, cfg)
         mean, err = curve.mean_cost[0], curve.stderr[0]
         assert abs(mean - mean_cost(table, 0.0)) <= 3 * err + 0.05
@@ -138,24 +125,24 @@ class TestEstimateMeanCost:
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
         beta = 0.2
-        cfg = GibbsConfig(beta_grid=(0.0, beta), sweeps_burnin=100, sweeps_measure=600,
-                          chains=4, seed=2)
+        cfg = CapacityConfig(beta_grid=(0.0, beta), sweeps_burnin=100, sweeps_measure=600,
+                             chains=4, seed=2)
         curve = thermo_integrate_logZ(cost, cfg)
         mean, err = curve.mean_cost[1], curve.stderr[1]
         assert abs(mean - mean_cost(table, beta)) <= 3 * err + 0.05
 
     def test_constant_zero_cost(self):
         cost = KMeansCost(vecs([1.0], [1.0], [1.0]), 2)
-        cfg = GibbsConfig(beta_grid=(0.0, 1.0), sweeps_burnin=5, sweeps_measure=50,
-                          chains=2, seed=0)
+        cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=5, sweeps_measure=50,
+                             chains=2, seed=0)
         curve = thermo_integrate_logZ(cost, cfg)
         assert curve.mean_cost[1] == 0.0 and curve.stderr[1] == 0.0
 
     def test_deterministic(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
-        cfg = GibbsConfig(beta_grid=(0.0, 0.5), sweeps_burnin=20, sweeps_measure=100,
-                          chains=2, seed=9)
+        cfg = CapacityConfig(beta_grid=(0.0, 0.5), sweeps_burnin=20, sweeps_measure=100,
+                             chains=2, seed=9)
         a, b = thermo_integrate_logZ(cost, cfg), thermo_integrate_logZ(cost, cfg)
         assert np.array_equal(a.mean_cost, b.mean_cost)
         assert np.array_equal(a.stderr, b.stderr)
@@ -186,7 +173,7 @@ class TestReplicaExchangeMeans:
             PairwiseCost(dissimilarity_from_vectors(x1), k)
         table = enumerate_costs(cost)
         grid = default_beta_grid(cost, points=8, seed=seed)
-        curve = thermo_integrate_logZ(cost, GibbsConfig(
+        curve = thermo_integrate_logZ(cost, CapacityConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=seed))
         exact = np.array([mean_cost(table, b) for b in grid])
         assert np.all(np.abs(curve.mean_cost - exact) <= 4 * curve.stderr
@@ -200,7 +187,7 @@ class TestReplicaExchangeMeans:
         costs = np.array([joint.evaluate(np.array(c))
                           for c in itertools.product((1, 2), repeat=8)])
         grid = default_beta_grid(joint, points=8, seed=0)
-        curve = thermo_integrate_logZ(joint, GibbsConfig(
+        curve = thermo_integrate_logZ(joint, CapacityConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=4))
         low = costs.min()
         exact = []
@@ -212,10 +199,15 @@ class TestReplicaExchangeMeans:
 
 
 class TestThermoIntegration:
+    def test_grid_required(self):
+        # CapacityConfig's None grid means "pick one"; the integrator cannot
+        with pytest.raises(ValueError, match="beta_grid"):
+            thermo_integrate_logZ(KMeansCost(vecs([0.0], [3.0]), 2), CapacityConfig())
+
     def test_single_point_grid(self):
         cost = KMeansCost(vecs([0.0], [3.0]), 2)
-        cfg = GibbsConfig(beta_grid=(0.0,), sweeps_burnin=5, sweeps_measure=20,
-                          chains=2, seed=0)
+        cfg = CapacityConfig(beta_grid=(0.0,), sweeps_burnin=5, sweeps_measure=20,
+                             chains=2, seed=0)
         curve = thermo_integrate_logZ(cost, cfg)
         assert curve.log_z[0] == 2 * math.log(2)
 
@@ -235,8 +227,8 @@ class TestThermoIntegration:
 
     def test_constant_zero_cost_flat(self):
         cost = KMeansCost(vecs([2.0], [2.0], [2.0]), 2)
-        cfg = GibbsConfig(beta_grid=(0.0, 1.0, 2.0), sweeps_burnin=5, sweeps_measure=30,
-                          chains=2, seed=0)
+        cfg = CapacityConfig(beta_grid=(0.0, 1.0, 2.0), sweeps_burnin=5, sweeps_measure=30,
+                             chains=2, seed=0)
         curve = thermo_integrate_logZ(cost, cfg)
         assert np.allclose(curve.log_z, 3 * math.log(2))
 
