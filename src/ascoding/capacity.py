@@ -44,7 +44,7 @@ from .costs import (
 from .datagen import dissimilarity_from_vectors, write_csv_rows
 from .errors import BudgetError
 from .rng import derive_seed
-from .thermo import FreeEnergyCurve, default_beta_grid, thermo_integrate_logZ
+from .thermo import FreeEnergyCurve, default_beta_grid, thermo_integrate
 
 __all__ = [
     "CapacityPoint",
@@ -216,13 +216,10 @@ def capacity_curve(
     log_ns = _log_nsigma_of(minimizer, cfg.nsigma)
     grid = cfg.beta_grid or default_beta_grid(cost1, points=cfg.grid_points, seed=cfg.seed)
 
-    def integrate(cost: CostFunction, salt: int) -> FreeEnergyCurve:
-        return thermo_integrate_logZ(cost, dataclasses.replace(
-            cfg, beta_grid=grid, seed=derive_seed(cfg.seed, salt)))
-
-    curve1 = integrate(cost1, 1)
-    curve2 = integrate(cost2, 2)
-    joint = integrate(JointCost(cost1, cost2, corr), 3)
+    # one ladder per cost, each on its own stream
+    curve1, curve2, joint = thermo_integrate(
+        (cost1, cost2, JointCost(cost1, cost2, corr)), dataclasses.replace(cfg, beta_grid=grid),
+        seeds=[derive_seed(cfg.seed, salt) for salt in (1, 2, 3)])
     gammas = np.maximum(curve1.smoothed_mean_cost() - r_min, 0.0)
     # an excess below the costs' rounding noise is the ground state: levels
     # that all sit in it then tie at gamma 0, and the lowest beta wins
@@ -233,7 +230,7 @@ def capacity_curve(
         log_dz=float(joint.log_z[i]), n=train.n,
     ) for i, beta in enumerate(grid))
     r_joint = r_min + cost2.evaluate(minimizer.labels[corr.nu])
-    warnings = _sampled_warnings(curve1, curve2, joint, r_min, r_joint, log_ns)
+    warnings = _sampled_warnings(points, curve1, curve2, joint, r_min, r_joint)
     return CapacityCurve(points=points, engine="sampled", cost_name=cost_family,
                          n=train.n, k=k, warnings=warnings)
 
@@ -243,14 +240,14 @@ def capacity_curve(
 _SAMPLED_SLACK = 0.05
 
 
-def _sampled_warnings(curve1: FreeEnergyCurve, curve2: FreeEnergyCurve,
-                      joint: FreeEnergyCurve, r1: float, r_joint: float,
-                      log_ns: float) -> tuple[str, ...]:
+def _sampled_warnings(points: tuple[CapacityPoint, ...], curve1: FreeEnergyCurve,
+                      curve2: FreeEnergyCurve, joint: FreeEnergyCurve, r1: float,
+                      r_joint: float) -> tuple[str, ...]:
     """Breaches of bounds that hold exactly, by more than the sampled
     engine's accuracy: log Z1 >= -beta R1(c) and log dZ >= -beta R_joint(c)
-    at the ERM minimizer c, info <= log_nsigma / n; plus mean-cost rises
-    beyond 2 standard errors in any of the three curves sampled by more than
-    one chain."""
+    at the ERM minimizer c, info <= log_nsigma / n at each of the curve's
+    points; plus mean-cost rises beyond 2 standard errors in any of the
+    three curves sampled by more than one chain."""
     n, betas = curve1.n, curve1.betas
     found = []
 
@@ -263,8 +260,8 @@ def _sampled_warnings(curve1: FreeEnergyCurve, curve2: FreeEnergyCurve,
           "below -beta R1(ERM minimizer)")
     worst("logDZ", -betas * r_joint - joint.log_z, _SAMPLED_SLACK * n,
           "below -beta (R1 + R2)(ERM minimizer)")
-    info = (log_ns + joint.log_z - curve1.log_z - curve2.log_z) / n
-    worst("info", info - log_ns / n, 3 * _SAMPLED_SLACK, "above log_nsigma/n")
+    worst("info", np.array([p.info - p.log_nsigma / n for p in points]), 3 * _SAMPLED_SLACK,
+          "above log_nsigma/n")
     for name, curve in (("logZ1", curve1), ("logZ2", curve2), ("logDZ", joint)):
         # a single chain's curve has no standard error to measure rises by
         rises = curve.monotonicity_violations() if curve.stderr.any() else 0

@@ -12,9 +12,11 @@ as zero-cost, so the hypothesis class is all k^n label vectors.
 
 Each cost exposes a ReplicaState: the per-cluster sufficient statistics
 (counts and sums) of R assignments at once, stacked over replicas, so one
-numpy call gives every replica's cost changes for one site. Its `sweep` is
-the one kernel behind the Gibbs sampler, replica exchange, the pilot grid
-and the multistart minimizer search. The same statistics are additive over
+numpy call gives every replica's cost changes for one site. One state can
+hold the replicas of several costs of one family (`replica_batch`): a
+candidate's training, test and joint costs then move together. Its `sweep`
+is the one kernel behind the Gibbs sampler, replica exchange, the pilot
+grid and the multistart minimizer search. The same statistics are additive over
 disjoint object sets, so each cost also exposes a SplitHalf: per-cluster
 statistics of the two halves of the objects from which the exact engine
 assembles every assignment's cost without decoding it.
@@ -36,6 +38,7 @@ __all__ = [
     "ReplicaState",
     "SplitHalf",
     "erm_search",
+    "replica_batch",
 ]
 
 DEFAULT_BUDGET = 1 << 24
@@ -51,28 +54,88 @@ class ReplicaState(ABC):
     stacked over replicas and batched moves.
 
     A unit is one object, or for a JointCost's test side, the set of test
-    objects one training object is pushed to. labels[r, j] is the cluster
-    index (0..k-1) of unit j in replica r; the state owns `labels` and
-    updates it in place. deltas(j)[r, b] is replica r's cost change of giving
-    unit j cluster b; the entry for its current cluster is exactly 0.
+    objects one training object is pushed to. The state keeps a small stack
+    of unit tables, one per cost term: a cost's objects, or a JointCost's
+    fan-in units. Each replica has one row of per-cluster statistics per
+    term of its cost, and each row has a component index into the stack:
+    rows 0..R-1 are the replicas' first terms, and each further row is the
+    second term of a JointCost replica, whose deltas and cost add to its
+    first's. labels[r, j] is the cluster index (0..k-1) of unit j in replica
+    r; the state owns `labels` and updates it in place. deltas(j)[r, b] is
+    replica r's cost change of giving unit j cluster b; the entry for its
+    current cluster is exactly 0.
     """
 
-    labels: np.ndarray
-    k: int
+    def __init__(self, blocks: list[tuple[np.ndarray, tuple[np.ndarray, ...]]], k: int):
+        """`blocks` holds, per cost, its (R_i, m) cluster indices and the unit
+        tables of its terms; the costs' replicas are stacked in order."""
+        self.k = k
+        self.labels = np.concatenate([labels for labels, _ in blocks])
+        firsts, seconds, start = [], [], 0
+        for labels, (first, *rest) in blocks:
+            replicas = slice(start, start + labels.shape[0])
+            firsts.append((first, replicas))
+            seconds += [(table, replicas) for table in rest]
+            start = replicas.stop
+        terms = firsts + seconds
+        if len({table.shape for table, _ in terms}) > 1:
+            raise ValueError("a replica batch needs costs whose samples share their dimension")
+        self._tables = np.stack([table for table, _ in terms])
+        owners = [np.arange(replicas.start, replicas.stop) for _, replicas in terms]
+        self._owner = np.concatenate(owners)  # each row's replica
+        self._comp = np.repeat(np.arange(len(terms)), [o.size for o in owners])
+        self._rows = np.arange(self._owner.size)
+        # per second term: its replicas, its rows, and which units have
+        # objects; a unit with none (a training object nothing is pushed to)
+        # adds nothing
+        sizes = self._unit_sizes(self._tables)
+        self._seconds = []
+        for c, (_, replicas) in enumerate(seconds, start=len(firsts)):
+            rows = slice(start, start + replicas.stop - replicas.start)
+            self._seconds.append((replicas, rows, sizes[c] > 0))
+            start = rows.stop
+        self._build([(_onehot(self.labels[replicas], k), table) for table, replicas in terms])
+
+    @staticmethod
+    @abstractmethod
+    def _unit_sizes(tables: np.ndarray) -> np.ndarray:
+        """Object count of every unit of every table, (tables, m)."""
+
+    @abstractmethod
+    def _build(self, terms: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Statistics of each term's rows from their (rows, m, k) cluster
+        indicators and the term's unit table, stacked in term order."""
+
+    @abstractmethod
+    def _costs(self) -> np.ndarray:
+        """Each row's cost, (rows,)."""
+
+    @abstractmethod
+    def _deltas(self, j: int, a: np.ndarray) -> np.ndarray:
+        """Each row's cost changes of moving unit j from its cluster a[row]
+        to each cluster, (rows, k)."""
+
+    @abstractmethod
+    def _shift(self, j: int, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Move unit j's statistics in `rows` from clusters `old` to clusters
+        `new` (all three 1-d and equally long)."""
 
     @property
-    @abstractmethod
     def cost(self) -> np.ndarray:
         """Each replica's cost, shape (R,)."""
+        costs = self._costs()
+        out = costs[:self.labels.shape[0]]
+        for replicas, rows, _ in self._seconds:
+            out[replicas] += costs[rows]
+        return out
 
-    @abstractmethod
-    def deltas(self, j: int) -> np.ndarray: ...
-
-    @abstractmethod
-    def shift(self, j: int, rows: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
-        """Move unit j's statistics in replicas `rows` from clusters `old` to
-        clusters `new` (all three 1-d and equally long); labels are left to
-        the caller."""
+    def deltas(self, j: int) -> np.ndarray:
+        d = self._deltas(j, self.labels[self._owner, j] if self._seconds else self.labels[:, j])
+        out = d[:self.labels.shape[0]]
+        for replicas, rows, filled in self._seconds:
+            if filled[j]:
+                out[replicas] += d[rows]
+        return out
 
     def sweep(self, beta: np.ndarray | None = None, u: np.ndarray | None = None) -> int:
         """Visit every unit once, in order, in all replicas at once; returns
@@ -95,12 +158,13 @@ class ReplicaState(ABC):
                                axis=1)
                 new = (cs <= (u[:, j] * cs[:, -1])[:, None]).sum(axis=1)
                 np.minimum(new, self.k - 1, out=new)
-            rows = np.flatnonzero(new != old)
+            moved = new != old
+            rows = np.flatnonzero(moved[self._owner])  # every term row of a moved replica
             if rows.size:
-                new = new[rows]
-                self.shift(j, rows, old[rows], new)
-                self.labels[rows, j] = new
-                moves += rows.size
+                owner = self._owner[rows]
+                self._shift(j, rows, old[owner], new[owner])
+                self.labels[:, j] = new
+                moves += int(np.count_nonzero(moved))
         return moves
 
 
@@ -137,10 +201,19 @@ class CostFunction(ABC):
     @abstractmethod
     def evaluate(self, labels: np.ndarray) -> float: ...
 
-    @abstractmethod
     def replica_state(self, labels: np.ndarray) -> ReplicaState:
-        """State of the (R, n) cluster indices `labels` (0..k-1), which the
-        state takes over and updates in place."""
+        """State of the (R, n) cluster indices `labels` (0..k-1), whose copy
+        the state owns and updates in place."""
+        return replica_batch([self], [labels])
+
+    def _unit_tables(self) -> tuple[np.ndarray, ...]:
+        """Unit tables of the terms whose costs add to this cost."""
+        return (self._unit_table(),)
+
+    def _unit_table(self, groups: np.ndarray | None = None) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} has no unit table")
+
+    _replicas: type[ReplicaState]  # the state class of the cost's family
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> SplitHalf:
         """Statistics of the two halves of the objects for exact enumeration;
@@ -152,10 +225,58 @@ class CostFunction(ABC):
 # k-means
 # ---------------------------------------------------------------------------
 
+class KMeansReplicas(ReplicaState):
+    """Per row and cluster, stacked on the last axis: object count,
+    squared-norm sum and vector sum, (rows, k, 2 + d). A unit table holds the
+    same three statistics of each unit's objects, so a move adds one unit
+    row to one cluster and subtracts it from another."""
+
+    @staticmethod
+    def _unit_sizes(tables):
+        return tables[:, :, 0]
+
+    def _build(self, terms) -> None:
+        self._stats = np.concatenate([np.einsum("rmk,ms->rks", onehot, table)
+                                      for onehot, table in terms])
+
+    def _costs(self) -> np.ndarray:
+        # empty clusters carry exact-to-tiny zero sums, so dividing by
+        # max(cnt, 1) is safe; per-cluster scatter is >= 0 up to cancellation
+        cnt, sqs, sums = self._stats[..., 0], self._stats[..., 1], self._stats[..., 2:]
+        norm = np.einsum("rkd,rkd->rk", sums, sums)
+        return np.maximum(sqs - norm / np.maximum(cnt, 1.0), 0.0).sum(axis=1)
+
+    def _deltas(self, j, a) -> np.ndarray:
+        r = self._rows
+        unit = self._tables[self._comp, j]
+        f, x = unit[:, 0], unit[:, 2:]
+        cnt, sums = self._stats[..., 0], self._stats[..., 2:]
+        # the unit's squared-norm sum enters one cluster and leaves another,
+        # so only the |sum|^2 / count terms change; max(., 1) only acts on a
+        # unit with no objects, whose deltas the caller discards
+        old = np.einsum("rkd,rkd->rk", sums, sums) / np.maximum(cnt, 1.0)
+        grown = sums + x[:, None]
+        out = old - np.einsum("rkd,rkd->rk", grown, grown) / np.maximum(cnt + f[:, None], 1.0)
+        here = self._stats[r, a]
+        rest = here[:, 2:] - x
+        left = here[:, 0] - f
+        base = old[r, a] - np.where(
+            left > 0, np.einsum("rd,rd->r", rest, rest) / np.maximum(left, 1.0), 0.0)
+        out += base[:, None]
+        out[r, a] = 0.0
+        return out
+
+    def _shift(self, j, rows, old, new) -> None:
+        unit = self._tables[self._comp[rows], j]
+        self._stats[rows, old] -= unit
+        self._stats[rows, new] += unit
+
+
 class KMeansCost(CostFunction):
     """Total within-cluster squared scatter around cluster means."""
 
     name = "kmeans"
+    _replicas = KMeansReplicas
 
     def __init__(self, data: Dataset, k: int):
         if data.kind is not Kind.VECTORS:
@@ -181,13 +302,14 @@ class KMeansCost(CostFunction):
             total += np.where(cnt > 0, np.maximum(contrib, 0.0), 0.0)
         return total
 
-    def replica_state(self, labels: np.ndarray, groups: np.ndarray | None = None) -> KMeansReplicas:
-        """`groups` (m, n), if given, makes unit j the objects i with
+    def _unit_table(self, groups: np.ndarray | None = None) -> np.ndarray:
+        """Per unit: object count, squared-norm sum and vector sum, (m, 2 + d).
+        `groups` (m, n), if given, makes unit j the objects i with
         groups[j, i] = 1 instead of object j."""
         x, sq, size = self._x, self._sq, np.ones(self.n)
         if groups is not None:
             x, sq, size = groups @ x, groups @ sq, groups.sum(axis=1)
-        return KMeansReplicas(x, sq, size, labels, self.k)
+        return np.column_stack([size, sq, x])
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "KMeansHalves":
         return KMeansHalves(self, lo_masks, hi_masks)
@@ -224,57 +346,67 @@ class KMeansHalves(SplitHalf):
         return total
 
 
-class KMeansReplicas(ReplicaState):
-    """Per replica and cluster, stacked on the last axis: object count,
-    squared-norm sum and vector sum, (R, k, 2 + d). Units carry the same
-    three statistics of their objects, so a move adds one unit row to one
-    cluster and subtracts it from another."""
+# ---------------------------------------------------------------------------
+# pairwise
+# ---------------------------------------------------------------------------
 
-    def __init__(self, x: np.ndarray, sq: np.ndarray, size: np.ndarray,
-                 labels: np.ndarray, k: int):
-        self.labels, self.k = labels, k
-        self._unit = np.column_stack([size, sq, x])
-        self._rows = np.arange(labels.shape[0])
-        self._stats = np.einsum("rmk,ms->rks", _onehot(labels, k), self._unit)
+class PairwiseReplicas(ReplicaState):
+    """Per row: sums rs[s, v, j] of the unit dissimilarities from unit j to
+    cluster v (rows, k, m + 1; the last column is the cluster sizes), and
+    ordered within-cluster pair sums W. A unit table is the (m + 1, m) unit
+    dissimilarities with the unit sizes as its last row, so a move updates
+    both parts of rs with one column."""
 
-    @property
-    def cost(self) -> np.ndarray:
-        # empty clusters carry exact-to-tiny zero sums, so dividing by
-        # max(cnt, 1) is safe; per-cluster scatter is >= 0 up to cancellation
-        cnt, sqs, sums = self._stats[..., 0], self._stats[..., 1], self._stats[..., 2:]
-        norm = np.einsum("rkd,rkd->rk", sums, sums)
-        return np.maximum(sqs - norm / np.maximum(cnt, 1.0), 0.0).sum(axis=1)
+    @staticmethod
+    def _unit_sizes(tables):
+        return tables[:, -1]
 
-    def deltas(self, j: int) -> np.ndarray:
-        r, a = self._rows, self.labels[:, j]
-        f, x = self._unit[j, 0], self._unit[j, 2:]
-        cnt, sums = self._stats[..., 0], self._stats[..., 2:]
-        # the unit's squared-norm sum enters one cluster and leaves another,
-        # so only the |sum|^2 / count terms change
-        old = np.einsum("rkd,rkd->rk", sums, sums) / np.maximum(cnt, 1.0)
-        grown = sums + x
-        out = old - np.einsum("rkd,rkd->rk", grown, grown) / (cnt + f)
-        rest = sums[r, a] - x
+    def _build(self, terms) -> None:
+        m = self.labels.shape[1]
+        rs = [np.matmul(table, onehot) for onehot, table in terms]
+        self._w = np.concatenate([np.einsum("rmk,rmk->rk", onehot, block[:, :m])
+                                  for (onehot, _), block in zip(terms, rs)])
+        # cluster-major, so that a move updates contiguous (m + 1)-rows
+        self._rs = np.concatenate(rs).transpose(0, 2, 1).copy()
+        self._cnt = self._rs[:, :, m]
+        self._size = self._unit_sizes(self._tables)[self._comp]
+        self._self = np.diagonal(self._tables[:, :m], axis1=1, axis2=2)[self._comp]
+
+    def _costs(self) -> np.ndarray:
+        return (self._w / np.maximum(2.0 * self._cnt, 1.0)).sum(axis=1)
+
+    def _deltas(self, j, a) -> np.ndarray:
+        r = self._rows
+        f, u = self._size[:, j], self._self[:, j]
+        cnt, w = self._cnt, self._w
+        rj = self._rs[:, :, j]
+        old = w / np.maximum(2.0 * cnt, 1.0)
+        # max(., 1) only acts on a unit with no objects, whose deltas the
+        # caller discards
+        out = (w + 2.0 * rj + u[:, None]) / (2.0 * np.maximum(cnt + f[:, None], 1.0)) - old
         left = cnt[r, a] - f
-        base = old[r, a] - np.where(
-            left > 0, np.einsum("rd,rd->r", rest, rest) / np.maximum(left, 1.0), 0.0)
+        base = np.where(left > 0, (w[r, a] - 2.0 * rj[r, a] + u) / (2.0 * np.maximum(left, 1.0)),
+                        0.0) - old[r, a]
         out += base[:, None]
         out[r, a] = 0.0
         return out
 
-    def shift(self, j, rows, old, new) -> None:
-        self._stats[rows, old] -= self._unit[j]
-        self._stats[rows, new] += self._unit[j]
+    def _shift(self, j, rows, old, new) -> None:
+        u = self._self[rows, j]
+        rj = self._rs[rows, :, j]
+        at = np.arange(rows.size)
+        self._w[rows, old] += u - 2.0 * rj[at, old]
+        self._w[rows, new] += u + 2.0 * rj[at, new]
+        col = self._tables[self._comp[rows], :, j]
+        self._rs[rows, old] -= col
+        self._rs[rows, new] += col
 
-
-# ---------------------------------------------------------------------------
-# pairwise
-# ---------------------------------------------------------------------------
 
 class PairwiseCost(CostFunction):
     """Within-cluster dissimilarity sums, each cluster normalized by 2 n_v."""
 
     name = "pairwise"
+    _replicas = PairwiseReplicas
 
     def __init__(self, data: Dataset, k: int):
         if data.kind is not Kind.DISSIMILARITIES:
@@ -297,12 +429,15 @@ class PairwiseCost(CostFunction):
             total += np.where(cnt > 0, contrib, 0.0)
         return total
 
-    def replica_state(self, labels: np.ndarray, groups: np.ndarray | None = None) -> PairwiseReplicas:
-        """`groups` as for KMeansCost.replica_state."""
+    def _unit_table(self, groups: np.ndarray | None = None) -> np.ndarray:
+        """The unit dissimilarities, which sum the object dissimilarities
+        between two units' objects (a unit's own entry is its within-unit
+        pair sum), with the unit sizes as one more row, (m + 1, m). `groups`
+        as for KMeansCost._unit_table."""
         dissim, size = self._d, np.ones(self.n)
         if groups is not None:
             dissim, size = groups @ self._d @ groups.T, groups.sum(axis=1)
-        return PairwiseReplicas(dissim, size, labels, self.k)
+        return np.vstack([dissim, size])
 
     def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "PairwiseHalves":
         return PairwiseHalves(self, lo_masks, hi_masks)
@@ -334,55 +469,6 @@ class PairwiseHalves(SplitHalf):
         return total
 
 
-class PairwiseReplicas(ReplicaState):
-    """Per replica: row sums rs[r, j, v] of the unit dissimilarities from
-    unit j to cluster v (R, m + 1, k; the last row is the cluster sizes),
-    and ordered within-cluster pair sums W. Unit dissimilarities sum the object
-    dissimilarities between two units' objects; a unit's own entry is its
-    within-unit pair sum."""
-
-    def __init__(self, dissim: np.ndarray, size: np.ndarray, labels: np.ndarray, k: int):
-        self.labels, self.k = labels, k
-        m = labels.shape[1]
-        # one more row holds the unit sizes, so rs[:, m] is the cluster sizes
-        # and a move updates both with one column
-        self._cols = np.vstack([dissim, size])
-        self._size, self._self = size, np.diagonal(dissim).copy()
-        self._rows = np.arange(labels.shape[0])
-        onehot = _onehot(labels, k)
-        self._rs = np.matmul(self._cols, onehot)
-        self._cnt = self._rs[:, m]
-        self._w = np.einsum("rmk,rmk->rk", onehot, self._rs[:, :m])
-
-    @property
-    def cost(self) -> np.ndarray:
-        return (self._w / np.maximum(2.0 * self._cnt, 1.0)).sum(axis=1)
-
-    def deltas(self, j: int) -> np.ndarray:
-        r, a = self._rows, self.labels[:, j]
-        f, u = self._size[j], self._self[j]
-        cnt, w = self._cnt, self._w
-        rj = self._rs[:, j]
-        old = w / np.maximum(2.0 * cnt, 1.0)
-        out = (w + 2.0 * rj + u) / (2.0 * (cnt + f)) - old
-        left = cnt[r, a] - f
-        base = np.where(left > 0, (w[r, a] - 2.0 * rj[r, a] + u) / (2.0 * np.maximum(left, 1.0)),
-                        0.0) - old[r, a]
-        out += base[:, None]
-        out[r, a] = 0.0
-        return out
-
-    def shift(self, j, rows, old, new) -> None:
-        u = self._self[j]
-        rj = self._rs[rows, j]
-        at = np.arange(rows.size)
-        self._w[rows, old] += u - 2.0 * rj[at, old]
-        self._w[rows, new] += u + 2.0 * rj[at, new]
-        col = self._cols[:, j]
-        self._rs[rows, :, old] -= col
-        self._rs[rows, :, new] += col
-
-
 # ---------------------------------------------------------------------------
 # combined two-sample cost
 # ---------------------------------------------------------------------------
@@ -399,8 +485,11 @@ class JointCost(CostFunction):
             raise ValueError("both samples and the correspondence must share n")
         if cost1.k != cost2.k:
             raise ValueError("cluster counts differ between the two costs")
+        if type(cost1) is not type(cost2):
+            raise ValueError("both costs must be of one family")
         super().__init__(n=cost1.n, k=cost1.k)
         self.name = f"joint[{cost1.name}]"
+        self._replicas = cost1._replicas
         self.cost1 = cost1
         self.cost2 = cost2
         self.nu = corr.nu
@@ -411,34 +500,19 @@ class JointCost(CostFunction):
         labels = np.asarray(labels)
         return self.cost1.evaluate(labels) + self.cost2.evaluate(labels[self.nu])
 
-    def replica_state(self, labels: np.ndarray) -> JointReplicas:
-        return JointReplicas(self.cost1.replica_state(labels),
-                             self.cost2.replica_state(labels, self._groups),
-                             self._groups.sum(axis=1))
+    def _unit_tables(self) -> tuple[np.ndarray, ...]:
+        return self.cost1._unit_table(), self.cost2._unit_table(self._groups)
 
 
-class JointReplicas(ReplicaState):
-    """The training state plus the test state over fan-in units, sharing
-    one labels array; a unit with an empty fan-in set contributes nothing."""
-
-    def __init__(self, s1: ReplicaState, s2: ReplicaState, fanin: np.ndarray):
-        self.labels, self.k = s1.labels, s1.k
-        self._s1, self._s2, self._fanin = s1, s2, fanin
-
-    @property
-    def cost(self) -> np.ndarray:
-        return self._s1.cost + self._s2.cost
-
-    def deltas(self, j: int) -> np.ndarray:
-        out = self._s1.deltas(j)
-        if self._fanin[j]:
-            out += self._s2.deltas(j)
-        return out
-
-    def shift(self, j, rows, old, new) -> None:
-        self._s1.shift(j, rows, old, new)
-        if self._fanin[j]:
-            self._s2.shift(j, rows, old, new)
+def replica_batch(costs: list[CostFunction], labels: list[np.ndarray]) -> ReplicaState:
+    """One state over the replicas of several costs of one family, k and n:
+    labels[i] (R_i, n) are the cluster indices (0..k-1) of costs[i]'s
+    replicas, stacked in order. A JointCost counts as its costs' family."""
+    first = costs[0]
+    if any((c._replicas, c.k, c.n) != (first._replicas, first.k, first.n) for c in costs):
+        raise ValueError("a replica batch needs costs of one family, k and n")
+    return first._replicas([(np.asarray(lab), cost._unit_tables())
+                            for cost, lab in zip(costs, labels)], first.k)
 
 
 # ---------------------------------------------------------------------------

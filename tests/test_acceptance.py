@@ -19,7 +19,7 @@ from ascoding.costs import JointCost, KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
 from ascoding.exact import enumerate_costs, exact_log_partition, exact_moments, joint_cost_table
 from ascoding.capacity import make_cost
-from ascoding.thermo import default_beta_grid, thermo_integrate_logZ
+from ascoding.thermo import default_beta_grid, thermo_integrate
 
 LN2 = math.log(2)
 
@@ -67,10 +67,9 @@ def test_criterion_1_oracle_equivalence_partition_functions():
                                  chains=3, seed=11)
             table1 = enumerate_costs(c1)
             joint_table = joint_cost_table(table1, enumerate_costs(c2), corr)
-            curve = thermo_integrate_logZ(c1, cfg)
+            curve, joint = thermo_integrate([c1, JointCost(c1, c2, corr)], cfg)
             err_z = max(abs(curve.log_z[i] - exact_log_partition(table1, b))
                         for i, b in enumerate(grid))
-            joint = thermo_integrate_logZ(JointCost(c1, c2, corr), cfg)
             err_dz = max(abs(joint.log_z[i] - exact_log_partition(joint_table, b))
                          for i, b in enumerate(grid))
             worst = max(worst, err_z, err_dz)

@@ -489,7 +489,11 @@ class TestSampledSelfChecks:
         curve1 = self._curve(z1 or single)
         curve2 = self._curve(single, mean2, stderr2)
         joint = self._curve(dz or [self.LOG4, self.LOG4 - 3.5, self.LOG4 - 6.0])
-        return _sampled_warnings(curve1, curve2, joint, 1.0, 2.0, math.log(6))
+        points = tuple(CapacityPoint(beta=float(b), gamma=0.0, log_nsigma=math.log(6),
+                                     log_z1=float(z1), log_z2=float(z2), log_dz=float(dz), n=4)
+                       for b, z1, z2, dz in zip(curve1.betas, curve1.log_z, curve2.log_z,
+                                                joint.log_z))
+        return _sampled_warnings(points, curve1, curve2, joint, 1.0, 2.0)
 
     def test_clean_curves_pass(self):
         assert self._warnings() == ()

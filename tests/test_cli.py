@@ -110,6 +110,22 @@ class TestCapacity:
         cols_s = read_columns(tmp_path / "s" / "capacity.csv")
         assert np.abs(cols["info"] - cols_s["info"]).max() <= 0.1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sampled_default_grid_with_subnormal_deltas(self, tmp_path):
+        # squared distances near 1e-323: one over the pilot's mean site delta
+        # is past the float range, so the default grid is the flat-landscape
+        # one, with no overflow on the way
+        data = tmp_path / "tiny.csv"
+        data.write_text("4,1\n0.0\n1e-162\n5e-162\n6e-162\n")
+        rc = run("capacity", "--train", data, "--test", data, "--k", 2, "--engine", "sampled",
+                 "--chains", 1, "--burnin", 2, "--sweeps", 4, "--grid-points", 4,
+                 "--out", tmp_path / "cap")
+        assert rc == 0
+        cols = read_columns(tmp_path / "cap" / "capacity.csv")
+        assert np.isfinite(cols["beta"]).all() and np.isfinite(cols["info"]).all()
+        summary = json.loads((tmp_path / "cap" / "summary.json").read_text())
+        assert math.isfinite(summary["info_star"])
+
     def test_rerun_byte_identical(self, dataset_dir, tmp_path):
         out = tmp_path / "cap"
         args = ("capacity", "--train", dataset_dir / "train.csv",

@@ -96,11 +96,9 @@ def random_instances():
     return out
 
 
-def deltas_of(cost, labels, j, groups=None):
+def deltas_of(cost, labels, j):
     """deltas(j) of a one-replica state of 1..k `labels`."""
-    rows = np.asarray(labels)[None, :] - 1
-    state = cost.replica_state(rows) if groups is None else cost.replica_state(rows, groups)
-    return state.deltas(j)[0]
+    return cost.replica_state(np.asarray(labels)[None, :] - 1).deltas(j)[0]
 
 
 class TestSingleSiteDelta:
@@ -135,17 +133,23 @@ class TestSingleSiteDelta:
 
     @pytest.mark.parametrize("cost", random_instances()[:2])
     def test_group_moves_match_full_evaluation(self, cost):
-        # unit 0 is every object labeled like object 0; the rest are single
+        # unit 0 is every object labeled like object 0, the rest are single,
+        # and the last units are empty: the fan-in units of a joint cost
+        # whose training side is constant
+        n = cost.n
+        free = (KMeansCost(Dataset.from_vectors(np.zeros_like(cost.data.vectors)), cost.k)
+                if isinstance(cost, KMeansCost)
+                else PairwiseCost(Dataset.from_dissimilarities(np.zeros((n, n))), cost.k))
         rng = np.random.default_rng(29)
         for _ in range(20):
-            labels = rng.integers(1, cost.k + 1, cost.n)
+            labels = rng.integers(1, cost.k + 1, n)
             members = labels == labels[0]
             rest = np.flatnonzero(~members)
-            groups = np.zeros((1 + rest.size, cost.n))
-            groups[0, members] = 1.0
-            groups[1 + np.arange(rest.size), rest] = 1.0
-            unit_labels = np.concatenate([[labels[0]], labels[rest]])
-            d = deltas_of(cost, unit_labels, 0, groups)
+            nu = np.zeros(n, dtype=np.int64)
+            nu[rest] = 1 + np.arange(rest.size)
+            unit_labels = np.ones(n, dtype=np.int64)
+            unit_labels[:1 + rest.size] = np.concatenate([[labels[0]], labels[rest]])
+            d = deltas_of(JointCost(free, cost, Correspondence(nu, n)), unit_labels, 0)
             for b in range(1, cost.k + 1):
                 moved = labels.copy()
                 moved[members] = b

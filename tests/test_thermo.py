@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ascoding.capacity import CapacityConfig
+from ascoding.capacity import CapacityConfig, make_cost
 from ascoding.core import Correspondence, Dataset, build_correspondence
 from ascoding.costs import JointCost, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
@@ -20,12 +21,18 @@ from ascoding.rng import derive_rng
 from ascoding.thermo import (
     FreeEnergyCurve,
     default_beta_grid,
-    thermo_integrate_logZ,
+    thermo_integrate,
 )
 
 
 def vecs(*rows):
     return Dataset.from_vectors(np.array(rows, dtype=float))
+
+
+def integrate(cost, cfg):
+    """One cost's curve from the batched integrator."""
+    (curve,) = thermo_integrate([cost], cfg)
+    return curve
 
 
 def mean_cost(table, beta):
@@ -51,7 +58,7 @@ def cfg_for(instance):
 @pytest.fixture(scope="module")
 def km_curve(instance, cfg_for):
     x1, _ = instance
-    return thermo_integrate_logZ(KMeansCost(x1, 2), cfg_for)
+    return integrate(KMeansCost(x1, 2), cfg_for)
 
 
 class TestGibbsSweep:
@@ -116,7 +123,7 @@ class TestEstimateMeanCost:
         table = enumerate_costs(cost)
         cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=10, sweeps_measure=400,
                              chains=4, seed=1)
-        curve = thermo_integrate_logZ(cost, cfg)
+        curve = integrate(cost, cfg)
         mean, err = curve.mean_cost[0], curve.stderr[0]
         assert abs(mean - mean_cost(table, 0.0)) <= 3 * err + 0.05
 
@@ -127,7 +134,7 @@ class TestEstimateMeanCost:
         beta = 0.2
         cfg = CapacityConfig(beta_grid=(0.0, beta), sweeps_burnin=100, sweeps_measure=600,
                              chains=4, seed=2)
-        curve = thermo_integrate_logZ(cost, cfg)
+        curve = integrate(cost, cfg)
         mean, err = curve.mean_cost[1], curve.stderr[1]
         assert abs(mean - mean_cost(table, beta)) <= 3 * err + 0.05
 
@@ -135,7 +142,7 @@ class TestEstimateMeanCost:
         cost = KMeansCost(vecs([1.0], [1.0], [1.0]), 2)
         cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=5, sweeps_measure=50,
                              chains=2, seed=0)
-        curve = thermo_integrate_logZ(cost, cfg)
+        curve = integrate(cost, cfg)
         assert curve.mean_cost[1] == 0.0 and curve.stderr[1] == 0.0
 
     def test_deterministic(self, instance):
@@ -143,7 +150,7 @@ class TestEstimateMeanCost:
         cost = KMeansCost(x1, 2)
         cfg = CapacityConfig(beta_grid=(0.0, 0.5), sweeps_burnin=20, sweeps_measure=100,
                              chains=2, seed=9)
-        a, b = thermo_integrate_logZ(cost, cfg), thermo_integrate_logZ(cost, cfg)
+        a, b = integrate(cost, cfg), integrate(cost, cfg)
         assert np.array_equal(a.mean_cost, b.mean_cost)
         assert np.array_equal(a.stderr, b.stderr)
 
@@ -173,7 +180,7 @@ class TestReplicaExchangeMeans:
             PairwiseCost(dissimilarity_from_vectors(x1), k)
         table = enumerate_costs(cost)
         grid = default_beta_grid(cost, points=8, seed=seed)
-        curve = thermo_integrate_logZ(cost, CapacityConfig(
+        curve = integrate(cost, CapacityConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=seed))
         exact = np.array([mean_cost(table, b) for b in grid])
         assert np.all(np.abs(curve.mean_cost - exact) <= 4 * curve.stderr
@@ -187,7 +194,7 @@ class TestReplicaExchangeMeans:
         costs = np.array([joint.evaluate(np.array(c))
                           for c in itertools.product((1, 2), repeat=8)])
         grid = default_beta_grid(joint, points=8, seed=0)
-        curve = thermo_integrate_logZ(joint, CapacityConfig(
+        curve = integrate(joint, CapacityConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=4))
         low = costs.min()
         exact = []
@@ -198,17 +205,47 @@ class TestReplicaExchangeMeans:
                       + _one_sample(costs))
 
 
+class TestBatchedLadders:
+    """A candidate's training, test and joint ladders move as one replica
+    batch, and each curve is bit for bit the one its ladder gives alone."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("family", ["kmeans", "pairwise"])
+    def test_batch_equals_each_ladder_alone(self, instance, family, chains):
+        x1, x2 = instance
+        c1, c2 = make_cost(family, x1, 2), make_cost(family, x2, 2)
+        # nothing is pushed from training objects 1, 4 and 7
+        corr = Correspondence(np.array([0, 0, 2, 3, 3, 5, 6, 6]), 8)
+        costs = (c1, c2, JointCost(c1, c2, corr))
+        cfg = CapacityConfig(beta_grid=default_beta_grid(c1, points=6, seed=1),
+                             sweeps_burnin=5, sweeps_measure=10, chains=chains, seed=0)
+        seeds = (3, 4, 5)
+        batch = thermo_integrate(costs, cfg, seeds=seeds)
+        assert len(batch) == 3
+        for cost, seed, curve in zip(costs, seeds, batch):
+            alone = integrate(cost, dataclasses.replace(cfg, seed=seed))
+            for name in ("log_z", "mean_cost", "stderr"):
+                assert getattr(curve, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_costs_of_mixed_families_rejected(self, instance):
+        x1, _ = instance
+        cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=1, sweeps_measure=1, chains=1)
+        with pytest.raises(ValueError, match="one family"):
+            thermo_integrate([make_cost("kmeans", x1, 2), make_cost("pairwise", x1, 2)], cfg)
+
+
 class TestThermoIntegration:
     def test_grid_required(self):
         # CapacityConfig's None grid means "pick one"; the integrator cannot
         with pytest.raises(ValueError, match="beta_grid"):
-            thermo_integrate_logZ(KMeansCost(vecs([0.0], [3.0]), 2), CapacityConfig())
+            integrate(KMeansCost(vecs([0.0], [3.0]), 2), CapacityConfig())
 
     def test_single_point_grid(self):
         cost = KMeansCost(vecs([0.0], [3.0]), 2)
         cfg = CapacityConfig(beta_grid=(0.0,), sweeps_burnin=5, sweeps_measure=20,
                              chains=2, seed=0)
-        curve = thermo_integrate_logZ(cost, cfg)
+        curve = integrate(cost, cfg)
         assert curve.log_z[0] == 2 * math.log(2)
 
     def test_against_exact_oracle(self, instance, km_curve):
@@ -221,7 +258,7 @@ class TestThermoIntegration:
         x1, _ = instance
         cost = PairwiseCost(dissimilarity_from_vectors(x1), 2)
         table = enumerate_costs(cost)
-        curve = thermo_integrate_logZ(cost, cfg_for)
+        curve = integrate(cost, cfg_for)
         exact = np.array([exact_log_partition(table, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
@@ -229,7 +266,7 @@ class TestThermoIntegration:
         cost = KMeansCost(vecs([2.0], [2.0], [2.0]), 2)
         cfg = CapacityConfig(beta_grid=(0.0, 1.0, 2.0), sweeps_burnin=5, sweeps_measure=30,
                              chains=2, seed=0)
-        curve = thermo_integrate_logZ(cost, cfg)
+        curve = integrate(cost, cfg)
         assert np.allclose(curve.log_z, 3 * math.log(2))
 
     def test_log_z_is_the_trapezoid_rule(self, km_curve):
@@ -251,13 +288,13 @@ class TestJointIntegration:
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         table = enumerate_costs(cost)
-        curve = thermo_integrate_logZ(JointCost(cost, cost, Correspondence.identity(8)), cfg_for)
+        curve = integrate(JointCost(cost, cost, Correspondence.identity(8)), cfg_for)
         exact = np.array([exact_log_partition(table, 2 * b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
     def test_beta_zero(self, instance, cfg_for):
         x1, x2 = instance
-        curve = thermo_integrate_logZ(
+        curve = integrate(
             JointCost(KMeansCost(x1, 2), KMeansCost(x2, 2), build_correspondence(x1, x2)), cfg_for
         )
         assert curve.log_z[0] == 8 * math.log(2)
@@ -267,7 +304,7 @@ class TestJointIntegration:
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
         joint = joint_cost_table(enumerate_costs(c1), enumerate_costs(c2), corr)
-        curve = thermo_integrate_logZ(JointCost(c1, c2, corr), cfg_for)
+        curve = integrate(JointCost(c1, c2, corr), cfg_for)
         exact = np.array([exact_log_partition(joint, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
@@ -312,6 +349,6 @@ def test_default_grid_shape(instance):
 
 def test_curve_determinism(instance, cfg_for, km_curve):
     x1, _ = instance
-    again = thermo_integrate_logZ(KMeansCost(x1, 2), cfg_for)
+    again = integrate(KMeansCost(x1, 2), cfg_for)
     assert np.array_equal(again.log_z, km_curve.log_z)
     assert np.array_equal(again.mean_cost, km_curve.mean_cost)
