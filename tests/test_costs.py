@@ -300,6 +300,13 @@ class TestJointCost:
                     moved[i] = b
                     assert d[b - 1] == pytest.approx(jc.evaluate(moved) - base, rel=1e-9, abs=1e-9)
 
+    def test_costs_of_two_families_rejected(self):
+        # one replica batch holds both sides, so they share one family
+        x = Dataset.from_vectors(np.random.default_rng(17).normal(size=(4, 2)))
+        with pytest.raises(ValueError, match="one family"):
+            JointCost(KMeansCost(x, 2), PairwiseCost(dissimilarity_from_vectors(x), 2),
+                      Correspondence.identity(4))
+
     def test_evaluate_is_sum_of_parts(self):
         rng = np.random.default_rng(13)
         x1 = Dataset.from_vectors(rng.normal(size=(5, 2)))
