@@ -512,7 +512,7 @@ def replica_batch(costs: list[CostFunction], labels: list[np.ndarray]) -> Replic
     if any((c._replicas, c.k, c.n) != (first._replicas, first.k, first.n) for c in costs):
         raise ValueError("a replica batch needs costs of one family, k and n")
     return first._replicas([(np.asarray(lab), cost._unit_tables())
-                            for cost, lab in zip(costs, labels)], first.k)
+                            for cost, lab in zip(costs, labels, strict=True)], first.k)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def _level_means(costs: Sequence[CostFunction], cfg: CapacityConfig,
     chains, levels = cfg.chains, betas.size
     rngs = [derive_rng(seed) for seed in seeds]
     state = replica_batch(costs, [rng.integers(0, cost.k, size=(chains * levels, cost.n))
-                                  for cost, rng in zip(costs, rngs)])
+                                  for cost, rng in zip(costs, rngs, strict=True)])
     ladders = len(costs) * chains
     beta = np.tile(betas, ladders)  # the beta of each replica's level
     # ladder[c, l] = (cost, index) of the replica at level l of ladder c

@@ -228,6 +228,12 @@ class TestBatchedLadders:
             for name in ("log_z", "mean_cost", "stderr"):
                 assert getattr(curve, name).tobytes() == getattr(alone, name).tobytes()
 
+    def test_one_seed_per_cost(self, instance):
+        x1, x2 = instance
+        cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=1, sweeps_measure=1, chains=1)
+        with pytest.raises(ValueError):
+            thermo_integrate([KMeansCost(x1, 2), KMeansCost(x2, 2)], cfg, seeds=[1])
+
     def test_costs_of_mixed_families_rejected(self, instance):
         x1, _ = instance
         cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=1, sweeps_measure=1, chains=1)
