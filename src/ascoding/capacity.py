@@ -18,6 +18,7 @@ enumerated or any chain runs.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,19 +157,25 @@ def _log_nsigma_of(minimizer: Assignment, nsigma: str) -> float:
     return log_type_class_size(type_distribution(minimizer), asymptotic=nsigma == "asymptotic")
 
 
-def exact_points(tables: ex.ExactTables, betas, nsigma: str) -> tuple[CapacityPoint, ...]:
-    """Exact capacity points at the given betas, one pass over each table
-    per beta; log_nsigma counts the training minimizer's type class."""
-    log_ns = _log_nsigma_of(tables.minimizer, nsigma)
-    n = tables.table1.n
-    points = []
-    for beta in map(float, betas):
-        lz1, gamma, _ = ex.exact_moments(tables.table1, beta)
-        lz2 = ex.exact_log_partition(tables.table2, beta)
-        ldz = ex.exact_log_partition(tables.joint, beta)
-        points.append(CapacityPoint(beta=beta, gamma=gamma, log_nsigma=log_ns, log_z1=lz1,
-                                    log_z2=lz2, log_dz=ldz, n=n))
-    return tuple(points)
+def exact_points(tables: ex.ExactTables | Sequence[ex.ExactTables], betas,
+                 nsigma: str) -> tuple[CapacityPoint, ...]:
+    """Exact capacity points, one per beta, from three stacked passes (the
+    training moments, the test log Z and the joint log Z of every point).
+    tables is one ExactTables for every beta or one per beta; log_nsigma
+    counts the type class of each point's training minimizer."""
+    betas = [float(b) for b in betas]
+    if isinstance(tables, ex.ExactTables):
+        tables = [tables] * len(betas)
+    lz1, gammas, _ = ex.stacked_moments([t.table1 for t in tables], betas)
+    lz2 = ex.stacked_log_partition([t.table2 for t in tables], betas)
+    ldz = ex.stacked_log_partition([t.joint for t in tables], betas)
+    distinct = {id(t): t for t in tables}
+    log_ns = {key: _log_nsigma_of(t.minimizer, nsigma) for key, t in distinct.items()}
+    return tuple(
+        CapacityPoint(beta=beta, gamma=gamma, log_nsigma=log_ns[id(t)], log_z1=a, log_z2=b,
+                      log_dz=c, n=t.table1.n)
+        for t, beta, gamma, a, b, c in zip(tables, betas, gammas.tolist(), lz1.tolist(),
+                                           lz2.tolist(), ldz.tolist()))
 
 
 def _check_engine(engine: str) -> None:

@@ -27,10 +27,16 @@ object 0 inherits, that of training object nu[sigma[0]].
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: the
 training table, the correspondence and the bound's exact tables are built
-once per trial (the beta calibration once per gamma, on the same training
-table), the received table once per codebook, and the k shifted
+once per trial, the received table once per codebook, and the k shifted
 member-digit matrices once per gamma, one gamma at a time. A cell then
 scores all codewords with one gather.
+
+The bound is evaluated for groups of trials whose training tables hold at
+most _GROUP entries together (at least one trial): the group's beta
+calibrations, one per trial and gamma, advance in lock-step, and its
+points are evaluated together, so each pass over the exact tables serves
+the whole group (see exact.calibrate_betas). Every value is bit for bit
+the one a trial gives alone.
 """
 from __future__ import annotations
 
@@ -47,6 +53,7 @@ from .errors import BudgetError
 from .exact import (
     CostTable,
     ExactTables,
+    calibrate_betas,
     check_gamma,
     enumerate_costs,
     pushforward_weights,
@@ -67,6 +74,7 @@ __all__ = [
 DEFAULT_MAX_CODEBOOK = 4096
 _Z95 = 1.959963984540054
 _GATHER = 1 << 22  # entries of one scoring index matrix (32 MiB of int64)
+_GROUP = 1 << 15  # entries of the training tables of one group of trials
 
 
 @dataclass(frozen=True)
@@ -258,15 +266,17 @@ def error_rate_grid(
     """Empirical error frequencies over a (codebook, gamma) grid, indexed
     [codebook][gamma].
 
-    Trial t draws one paired sample from the generator and serves every
-    cell; each codebook picks its uniform message for trial t, and that
-    message's received table serves every gamma. With compute_bound=True
-    the analytic bound is evaluated per trial at each gamma on the trial's
-    own sample pair (one beta calibration per trial and gamma, shared by all
-    codebooks) and averaged: the bound holds in expectation over the data
-    draw. A gamma below the calibration's resolution floor, gamma = 0
-    included, is bounded at the floor's beta, where the mean excess is
-    2^-44 (|r_min| + span): not a beta -> inf limit, which need not exist.
+    Trial t draws one paired sample from the generator, from streams keyed
+    by (seed, t), and serves every cell; each codebook picks its uniform
+    message for trial t, and that message's received table serves every
+    gamma. With compute_bound=True the analytic bound is evaluated per trial
+    at each gamma on the trial's own sample pair (one beta calibration per
+    trial and gamma, shared by all codebooks; a group of trials calibrates
+    and evaluates its points together) and averaged: the bound holds in
+    expectation over the data draw. A gamma below the calibration's
+    resolution floor, gamma = 0 included, is bounded at the floor's beta,
+    where the mean excess is 2^-44 (|r_min| + span): not a beta -> inf
+    limit, which need not exist.
     """
     for gamma in gammas:
         check_gamma(gamma)
@@ -275,34 +285,42 @@ def error_rate_grid(
     if any(cb.n != spec.n for cb in codebooks):
         raise ValueError("codebooks and the generator must share n")
     rows = [[[] for _ in gammas] for _ in codebooks]
-    infos: list[list[float]] = []  # per trial, per gamma
-    for t in range(trials):
-        x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
-        table1 = enumerate_costs(make_cost(cost_family, x1, k), budget=budget)
-        corr = build_correspondence(x1, x2)
-        if compute_bound:
-            table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget)
-            tables = ExactTables(table1, table2, corr)
-            betas = [tables.beta_for_gamma(g) for g in gammas]
-            infos.append([p.info for p in exact_points(tables, betas, "multinomial")])
-        received = []  # per codebook: (sent, received table, codewords)
-        for cb in codebooks:
-            sent = int(derive_rng(seed, t, 1).integers(cb.m))
-            x_r = permute_dataset(x2, cb.sigmas[sent])
-            received.append((sent, enumerate_costs(make_cost(cost_family, x_r, k), budget=budget),
-                             _codeword_weights(cb, corr, k)))
-        for j, gamma in enumerate(gammas):
-            # one gamma's member digits at a time: at wide gamma they hold
-            # k^n n entries
-            shifted = _shifted_member_digits(table1, gamma)
-            for (sent, table_r, codewords), cb_rows in zip(received, rows):
-                scores = _overlap_scores(table_r.members(gamma), shifted, codewords)
-                cb_rows[j].append(_trial_row(t, sent, scores))
-            del shifted
+    infos: list[list[float]] = [[] for _ in gammas]  # per gamma, per trial
+    group = max(1, _GROUP // k ** (spec.n - 1))
+    for first in range(0, trials, group):
+        pairs = []  # the group's exact tables, one ExactTables per trial
+        for t in range(first, min(first + group, trials)):
+            x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
+            table1 = enumerate_costs(make_cost(cost_family, x1, k), budget=budget)
+            corr = build_correspondence(x1, x2)
+            if compute_bound:
+                table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget)
+                pairs.append(ExactTables(table1, table2, corr))
+            received = []  # per codebook: (sent, received table, codewords)
+            for cb in codebooks:
+                sent = int(derive_rng(seed, t, 1).integers(cb.m))
+                x_r = permute_dataset(x2, cb.sigmas[sent])
+                received.append((sent, enumerate_costs(make_cost(cost_family, x_r, k),
+                                                       budget=budget),
+                                 _codeword_weights(cb, corr, k)))
+            for j, gamma in enumerate(gammas):
+                # one gamma's member digits at a time: at wide gamma they hold
+                # k^n n entries
+                shifted = _shifted_member_digits(table1, gamma)
+                for (sent, table_r, codewords), cb_rows in zip(received, rows):
+                    scores = _overlap_scores(table_r.members(gamma), shifted, codewords)
+                    cb_rows[j].append(_trial_row(t, sent, scores))
+                del shifted
+        if pairs:  # the group's (trial, gamma) points, calibrated and evaluated together
+            per_point = [tables for tables in pairs for _ in gammas]
+            betas = calibrate_betas(per_point, [g for _ in pairs for g in gammas])
+            points = exact_points(per_point, betas, "multinomial")
+            for j, info in enumerate(infos):
+                info += [p.info for p in points[j :: len(gammas)]]
     return [
         [
-            _error_rate_result(cell, [error_bound(info[j], cb.rate_bits, spec.n)
-                                      for info in infos])
+            _error_rate_result(cell, [error_bound(info, cb.rate_bits, spec.n)
+                                      for info in infos[j]])
             for j, cell in enumerate(cb_rows)
         ]
         for cb, cb_rows in zip(codebooks, rows)

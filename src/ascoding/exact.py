@@ -28,12 +28,21 @@ ExactTables holds the training, test and joint tables of one sample pair
 and calibrates beta for a target gamma on the training table; capacity
 curves, point queries and the channel bound each build one per pair.
 
+Boltzmann sums are taken over stacks of equal-length tables, each row at
+its own beta (stacked_moments, stacked_log_partition): tables of at most
+_BLOCK entries share numpy calls, and every row sums exactly what a pass
+over its table alone sums, so stacking never changes a value.
+calibrate_betas advances many beta calibrations in lock-step on such
+stacks; exact_moments, exact_log_partition and
+ExactTables.beta_for_gamma are their one-table cases.
+
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +55,15 @@ __all__ = [
     "CostTable",
     "ExactTables",
     "GAMMA_SLACK",
+    "calibrate_betas",
     "decode_indices",
     "enumerate_costs",
     "pushforward_weights",
     "exact_log_partition",
     "exact_moments",
     "joint_cost_table",
+    "stacked_log_partition",
+    "stacked_moments",
 ]
 
 GAMMA_SLACK = 1e-12  # absolute float slack on the approximation threshold
@@ -209,51 +221,124 @@ def check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must be >= 0, got {gamma!r}")
 
 
-def _boltzmann_sums(costs: np.ndarray, r_min: float, beta: float, order: int) -> list[float]:
-    """[sum_c w(c) x(c)^j for j = 0..order] with x(c) = R(c) - r_min and
-    w(c) = exp(-beta x(c)), accumulated over chunks of _BLOCK entries in
-    reused buffers: fresh table-sized temporaries cost more than the
-    arithmetic. In excess form, minima contribute x = 0 exactly."""
-    size = min(costs.size, _BLOCK)
-    x_buf, w_buf = np.empty(size), np.empty(size)
-    sums = [0.0] * (order + 1)
-    for start in range(0, costs.size, _BLOCK):
-        chunk = costs[start : start + _BLOCK]
-        x, w = x_buf[: chunk.size], w_buf[: chunk.size]
-        np.subtract(chunk, r_min, out=x)
-        np.multiply(x, -beta, out=w)
+def _stacked(tables: Sequence[CostTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(costs, r_min, rows) of equal-length tables: the distinct tables as the
+    rows of one array (a view of the table when there is one), and per given
+    table its row and its minimum."""
+    slot: dict[int, int] = {}
+    distinct: list[CostTable] = []
+    for t in tables:
+        if slot.setdefault(id(t), len(distinct)) == len(distinct):
+            distinct.append(t)
+    rows = np.array([slot[id(t)] for t in tables], dtype=np.intp)
+    if not distinct:
+        costs = np.empty((0, 1))
+    elif len(distinct) == 1:
+        costs = distinct[0].costs[None]
+    else:
+        costs = np.stack([t.costs for t in distinct])
+    return costs, np.array([t.r_min for t in tables], dtype=np.float64), rows
+
+
+def _boltzmann_sums(costs: np.ndarray, r_min: np.ndarray, rows: np.ndarray, beta: np.ndarray,
+                    order: int) -> np.ndarray:
+    """sums[j, i] = sum_c w(c) x(c)^j for j = 0..order over the table
+    costs[rows[i]], with x(c) = R(c) - r_min[i] and w(c) = exp(-beta[i] x(c));
+    in excess form, minima contribute x = 0 exactly. Every beta is checked
+    before any pass.
+
+    Tables of at most _BLOCK entries are evaluated _BLOCK // N rows per numpy
+    call; a longer table one row at a time, over chunks of _BLOCK entries.
+    Buffers are reused and never exceed _BLOCK entries: fresh table-sized
+    temporaries cost more than the arithmetic. A row sums exactly the chunks
+    a one-table pass sums, so its sums do not depend on the rows beside it."""
+    if beta.shape != rows.shape:
+        raise ValueError(f"{beta.size} betas for {rows.size} tables")
+    if not (np.isfinite(beta).all() and (beta >= 0).all()):
+        raise ValueError("beta must be finite and >= 0")
+    size = costs.shape[1]
+    sums = np.zeros((order + 1, rows.size))
+    if size > _BLOCK:
+        x_buf, w_buf = np.empty(_BLOCK), np.empty(_BLOCK)
+        for i in range(rows.size):
+            for start in range(0, size, _BLOCK):
+                chunk = costs[rows[i], start : start + _BLOCK]
+                x, w = x_buf[: chunk.size], w_buf[: chunk.size]
+                np.subtract(chunk, r_min[i], out=x)
+                np.multiply(x, -beta[i], out=w)
+                np.exp(w, out=w)
+                sums[0, i] += w.sum()
+                for j in range(1, order + 1):
+                    sums[j, i] += np.multiply(w, x, out=w).sum()
+        return sums
+    step = _BLOCK // size
+    entries = min(rows.size, step) * size
+    x_buf, w_buf = np.empty(entries), np.empty(entries)
+    for first in range(0, rows.size, step):
+        part = slice(first, first + step)
+        x = x_buf[: rows[part].size * size].reshape(-1, size)
+        w = w_buf[: x.size].reshape(x.shape)
+        np.take(costs, rows[part], axis=0, out=x, mode="clip")  # "raise" would buffer
+        x -= r_min[part, None]
+        np.multiply(x, -beta[part, None], out=w)
         np.exp(w, out=w)
-        sums[0] += w.sum()
+        sums[0, part] = w.sum(axis=1)
         for j in range(1, order + 1):
-            sums[j] += np.multiply(w, x, out=w).sum()
+            sums[j, part] = np.multiply(w, x, out=w).sum(axis=1)
     return sums
 
 
-def _check_beta(beta: float) -> None:
-    if beta < 0 or not np.isfinite(beta):
-        raise ValueError("beta must be finite and >= 0")
+def _excess_moments(z: np.ndarray, m1: np.ndarray,
+                    m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean excess cost <R> - r_min, variance of R) from a pass's sums."""
+    excess = m1 / z
+    return excess, m2 / z - excess * excess
+
+
+def _log_z(tables: Sequence[CostTable], beta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """log sum_c exp(-beta R(c)) from each pass's sum of weights z, exactly
+    n log k at beta = 0. The logarithm is taken of one scalar at a time, as a
+    one-table pass takes it: numpy's vector log may round differently."""
+    return np.array([
+        t.n * float(np.log(t.k)) if b == 0.0
+        else float(-b * t.r_min + np.log(zi)) + float(np.log(t.k))
+        for t, b, zi in zip(tables, beta, z)
+    ])
+
+
+def stacked_moments(tables: Sequence[CostTable],
+                    betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exact_moments of tables[i] at betas[i] for every i, as three arrays
+    (log Z, mean excess, variance), from one stacked pass over the distinct
+    tables; each value is bit for bit the one its (table, beta) gives alone."""
+    beta = np.asarray(betas, dtype=np.float64)
+    costs, r_min, rows = _stacked(tables)
+    sums = _boltzmann_sums(costs, r_min, rows, beta, 2)
+    return (_log_z(tables, beta, sums[0]), *_excess_moments(*sums))
+
+
+def stacked_log_partition(tables: Sequence[CostTable], betas) -> np.ndarray:
+    """exact_log_partition of tables[i] at betas[i] for every i, from one
+    stacked pass over the points at beta > 0."""
+    beta = np.asarray(betas, dtype=np.float64)
+    hot = np.flatnonzero(beta != 0.0)  # NaN included: the pass rejects it
+    z = np.ones(beta.size)
+    if hot.size:
+        costs, r_min, rows = _stacked([tables[i] for i in hot])
+        z[hot] = _boltzmann_sums(costs, r_min, rows, beta[hot], 0)[0]
+    return _log_z(tables, beta, z)
 
 
 def exact_log_partition(table: CostTable, beta: float) -> float:
     """log sum_c exp(-beta R(c)), max-subtracted; exactly n log k at beta=0."""
-    _check_beta(beta)
-    if beta == 0.0:
-        return table.n * float(np.log(table.k))
-    (z,) = _boltzmann_sums(table.costs, table.r_min, beta, 0)
-    return float(-beta * table.r_min + np.log(z)) + float(np.log(table.k))
+    return float(stacked_log_partition([table], [beta])[0])
 
 
 def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
     """(log Z, mean excess cost <R> - r_min, variance of R) at beta from one
     pass over the table; log Z is exactly n log k at beta=0."""
-    _check_beta(beta)
-    z, m1, m2 = _boltzmann_sums(table.costs, table.r_min, beta, 2)
-    excess = float(m1 / z)
-    variance = float(m2 / z) - excess * excess
-    if beta == 0.0:
-        return table.n * float(np.log(table.k)), excess, variance
-    log_z = float(-beta * table.r_min + np.log(z)) + float(np.log(table.k))
-    return log_z, excess, variance
+    log_z, excess, variance = stacked_moments([table], [beta])
+    return float(log_z[0]), float(excess[0]), float(variance[0])
 
 
 def _by_halves(table: CostTable, values: np.ndarray) -> np.ndarray:
@@ -279,7 +364,7 @@ def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence)
     return CostTable.from_costs(out.ravel(), table1.n, table1.k)
 
 
-_NEWTON_TOL = 2.0**-50  # relative Newton step at which beta_for_gamma stops
+_NEWTON_TOL = 2.0**-50  # relative Newton step at which a calibration stops
 
 
 class ExactTables:
@@ -301,7 +386,8 @@ class ExactTables:
     @functools.cached_property
     def span(self) -> float:
         """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
-        return exact_moments(self.table1, 0.0)[1]
+        _cache_spans([self])
+        return self.__dict__["span"]
 
     @functools.cached_property
     def resolution(self) -> float:
@@ -313,49 +399,8 @@ class ExactTables:
     def beta_for_gamma(self, target: float) -> float:
         """Smallest beta, to relative precision _NEWTON_TOL, whose mean-cost
         excess is <= target (a target below the resolution counts as the
-        resolution); 0 once target reaches the span.
-
-        beta doubles or halves from 1 until gamma crosses the target; then
-        safeguarded Newton steps on gamma(log beta), whose slope -beta Var(R)
-        comes from the same pass as gamma (the rtsafe scheme of Numerical
-        Recipes, section 9.4), shrink that bracket: a step that leaves it, or
-        is not half the step before last, bisects instead. A converged step
-        from above the target returns; from below it is stretched, doubling
-        each time, until it crosses the root.
-        """
-        check_gamma(target)  # a NaN target never brackets
-        target = max(target, self.resolution)
-        if target >= self.span:
-            return 0.0
-        # an overflowing weight exponent gives exp(-inf) = 0; a vanishing
-        # variance gives a non-finite Newton step, which bisects
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            beta = prev = 1.0
-            _, gamma, var = exact_moments(self.table1, beta)
-            above = gamma > target
-            while (gamma > target) == above:
-                prev, beta = beta, beta * (2.0 if above else 0.5)
-                _, gamma, var = exact_moments(self.table1, beta)
-            lo, hi = sorted((prev, beta))
-            step = step_old = hi - lo
-            stretch = _NEWTON_TOL
-            while True:
-                newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
-                if abs(newton - beta) < _NEWTON_TOL * beta:
-                    if gamma <= target:
-                        return beta
-                    newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
-                elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
-                    newton = 0.5 * (lo + hi)
-                if not lo < newton < hi:  # the bracket is at float resolution
-                    return hi
-                step_old, step = step, newton - beta
-                beta = newton
-                _, gamma, var = exact_moments(self.table1, beta)
-                if gamma > target:
-                    lo = beta
-                else:
-                    hi = beta
+        resolution); 0 once target reaches the span. See _newton_search."""
+        return calibrate_betas([self], [target])[0]
 
     def auto_grid(self, points: int) -> tuple[float, ...]:
         """Geometric beta grid spanning mean-cost excess from ~90% down to
@@ -363,6 +408,100 @@ class ExactTables:
         span = self.span
         if span <= 0.0:  # flat landscape
             return (0.0, *np.geomspace(0.1, 10.0, points - 1))
-        beta_lo = self.beta_for_gamma(0.9 * span)
-        beta_hi = self.beta_for_gamma(1e-3 * span)
+        beta_lo, beta_hi = calibrate_betas([self, self], [0.9 * span, 1e-3 * span])
         return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))
+
+
+def _cache_spans(tables: Sequence[ExactTables]) -> None:
+    """Fill the span of every ExactTables that lacks one, from one stacked
+    pass at beta = 0 over their training tables."""
+    todo = list({id(t): t for t in tables if "span" not in t.__dict__}.values())
+    if not todo:
+        return
+    costs, r_min, rows = _stacked([t.table1 for t in todo])
+    excess, _ = _excess_moments(*_boltzmann_sums(costs, r_min, rows, np.zeros(len(todo)), 2))
+    for t, span in zip(todo, excess):
+        t.__dict__["span"] = float(span)  # where functools.cached_property keeps it
+
+
+def _newton_search(target: float, span: float, resolution: float):
+    """The beta calibration of one target, as a generator: it yields each
+    beta at which it needs the training table's (mean excess, variance), is
+    sent that pair back, and returns the smallest beta, to relative
+    precision _NEWTON_TOL, whose mean excess is <= target.
+
+    beta doubles or halves from 1 until gamma crosses the target; then
+    safeguarded Newton steps on gamma(log beta), whose slope -beta Var(R)
+    comes from the same pass as gamma (the rtsafe scheme of Numerical
+    Recipes, section 9.4), shrink that bracket: a step that leaves it, or
+    is not half the step before last, bisects instead. A converged step
+    from above the target returns; from below it is stretched, doubling
+    each time, until it crosses the root.
+    """
+    target = max(target, resolution)
+    if target >= span:
+        return 0.0
+    beta = prev = 1.0
+    gamma, var = yield beta
+    above = gamma > target
+    while (gamma > target) == above:
+        prev, beta = beta, beta * (2.0 if above else 0.5)
+        gamma, var = yield beta
+    lo, hi = sorted((prev, beta))
+    step = step_old = hi - lo
+    stretch = _NEWTON_TOL
+    while True:
+        newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
+        if abs(newton - beta) < _NEWTON_TOL * beta:
+            if gamma <= target:
+                return beta
+            newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
+        elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
+            newton = 0.5 * (lo + hi)
+        if not lo < newton < hi:  # the bracket is at float resolution
+            return hi
+        step_old, step = step, newton - beta
+        beta = newton
+        gamma, var = yield beta
+        if gamma > target:
+            lo = beta
+        else:
+            hi = beta
+
+
+def calibrate_betas(tables: Sequence[ExactTables], targets: Sequence[float]) -> list[float]:
+    """tables[i].beta_for_gamma(targets[i]) for every i, the searches
+    advanced in lock-step: each step evaluates the moments that every
+    unfinished search needs in one stacked pass over the distinct training
+    tables. Each search sees exactly the values it sees alone, so each beta
+    is bit for bit the one it gets alone. Every target is checked before any
+    pass."""
+    if len(tables) != len(targets):
+        raise ValueError(f"{len(targets)} targets for {len(tables)} tables")
+    for target in targets:
+        check_gamma(target)  # a NaN target never brackets
+    _cache_spans(tables)
+    searches = [_newton_search(target, t.span, t.resolution) for t, target in zip(tables, targets)]
+    costs, r_min, rows = _stacked([t.table1 for t in tables])
+    betas = [0.0] * len(searches)
+    wanted: dict[int, float] = {}  # search -> the beta it waits on
+
+    def advance(i, values):
+        try:
+            wanted[i] = searches[i].send(values)
+        except StopIteration as done:
+            betas[i] = done.value
+            wanted.pop(i, None)
+
+    # an overflowing weight exponent gives exp(-inf) = 0; a vanishing
+    # variance gives a non-finite Newton step, which bisects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(len(searches)):
+            advance(i, None)
+        while wanted:
+            live = list(wanted)
+            beta = np.array([wanted[i] for i in live])
+            excess, var = _excess_moments(*_boltzmann_sums(costs, r_min[live], rows[live], beta, 2))
+            for i, gamma, v in zip(live, excess.tolist(), var.tolist()):
+                advance(i, (gamma, v))
+    return betas

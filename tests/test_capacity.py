@@ -361,9 +361,9 @@ class TestExactEngineWork:
         sizes = []
         sums = ex._boltzmann_sums
 
-        def counted(costs, *args):
-            sizes.append(costs.size)
-            return sums(costs, *args)
+        def counted(costs, r_min, rows, *args):
+            sizes.extend([costs.shape[1]] * rows.size)  # one per (table, beta)
+            return sums(costs, r_min, rows, *args)
 
         monkeypatch.setattr(ex, "_boltzmann_sums", counted)
         spec = MixtureSpec(n=20, d=2, k_true=2, noise_sigma=1.0, separation=4.0, seed=0,

@@ -376,6 +376,42 @@ class TestErrorRateGrid:
         assert got == ref
         assert all(r.trials == 6 and r.p_hat == r.errors / 6 for row in grid for r in row)
 
+    @pytest.mark.parametrize("family, k", [("kmeans", 2), ("pairwise", 3)])
+    @pytest.mark.parametrize("trials_per_group", [1, 5])
+    def test_trial_groups_do_not_change_results(self, monkeypatch, family, k,
+                                                trials_per_group):
+        # by default all 12 trials form one group; 5 per group leaves a
+        # part-filled last group
+        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=3, balanced=True)
+        codebooks = [generate_codebook(6, math.log2(m) / 6, seed=2) for m in (2, 4)]
+        args = (codebooks, spec, family, k, (0.0, 0.5, 2.0, math.inf))
+        grouped = error_rate_grid(*args, trials=12, seed=4, compute_bound=True)
+        assert comms._GROUP // k**5 >= 12
+        monkeypatch.setattr(comms, "_GROUP", trials_per_group * k**5)
+        assert error_rate_grid(*args, trials=12, seed=4, compute_bound=True) == grouped
+
+    def test_bound_passes_are_stacked(self, monkeypatch):
+        # the criterion-5 grid: 40 trials x 5 gammas of n = 8, one group;
+        # one pass per trial and gamma made 2,746 passes over single tables
+        import ascoding.exact as ex
+
+        calls = []
+        sums = ex._boltzmann_sums
+
+        def counted(costs, r_min, rows, *args):
+            calls.append(rows.size)
+            return sums(costs, r_min, rows, *args)
+
+        monkeypatch.setattr(ex, "_boltzmann_sums", counted)
+        spec = MixtureSpec(n=8, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=0, balanced=True)
+        codebooks = [generate_codebook(8, math.log2(m) / 8, seed=0) for m in (2, 4, 8)]
+        error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
+                        seed=0, compute_bound=True)
+        assert len(calls) <= 40
+        assert sum(calls) >= 40 * 5 * 3  # every point's three log-partitions at least
+
     def test_budget_overflow_raises(self):
         spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
                            seed=3, balanced=True)

@@ -15,19 +15,24 @@ from ascoding.core import (
     log_type_class_size,
     type_distribution,
 )
-from ascoding.costs import KMeansCost, PairwiseCost
+from ascoding import exact as ex
+from ascoding.costs import COST_RESOLUTION, KMeansCost, PairwiseCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
 from ascoding.exact import (
     GAMMA_SLACK,
     CostTable,
     ExactTables,
+    calibrate_betas,
     decode_indices,
     enumerate_costs,
     exact_log_partition,
     exact_moments,
     joint_cost_table,
+    stacked_log_partition,
+    stacked_moments,
 )
+from ascoding.rng import derive_seed
 
 
 def vecs(*rows):
@@ -500,3 +505,186 @@ class TestCanonicalSliceAgainstFull:
             assert np.array_equal(can.costs, full.costs[::k])
             assert can.argmin_index == full.argmin_index
             assert can.k * can.costs.size == full.costs.size
+
+
+# ---------------------------------------------------------------------------
+# stacked passes and lock-step calibration against one table's loop
+# ---------------------------------------------------------------------------
+
+def one_table_sums(table, beta, order):
+    """[sum_c w(c) x(c)^j for j = 0..order] by one table's loop: 1-D chunks
+    of _BLOCK entries, each chunk's sums added to a running total."""
+    sums = [0.0] * (order + 1)
+    for start in range(0, table.costs.size, ex._BLOCK):
+        x = table.costs[start : start + ex._BLOCK] - table.r_min
+        w = np.exp(x * -beta)
+        sums[0] += w.sum()
+        for j in range(1, order + 1):
+            w = w * x
+            sums[j] += w.sum()
+    return sums
+
+
+def one_table_moments(table, beta):
+    """(log Z, mean excess, variance) from one_table_sums; log Z is exactly
+    n log k at beta = 0."""
+    z, m1, m2 = one_table_sums(table, beta, 2)
+    excess = float(m1 / z)
+    log_z = (table.n * float(np.log(table.k)) if beta == 0.0
+             else float(-beta * table.r_min + np.log(z)) + float(np.log(table.k)))
+    return log_z, excess, float(m2 / z) - excess * excess
+
+
+def one_table_beta(table, target):
+    """The beta calibration as one table's sequential loop: double or halve
+    beta from 1 until the mean excess crosses the target, then safeguarded
+    Newton steps in log beta, bisecting when a step leaves the bracket or
+    does not halve, and stretching a converged step from below."""
+    span = one_table_moments(table, 0.0)[1]
+    target = max(target, COST_RESOLUTION * (abs(table.r_min) + span))
+    if target >= span:
+        return 0.0
+    tol = ex._NEWTON_TOL
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        beta = prev = 1.0
+        _, gamma, var = one_table_moments(table, beta)
+        above = gamma > target
+        while (gamma > target) == above:
+            prev, beta = beta, beta * (2.0 if above else 0.5)
+            _, gamma, var = one_table_moments(table, beta)
+        lo, hi = sorted((prev, beta))
+        step = step_old = hi - lo
+        stretch = tol
+        while True:
+            newton = beta * float(np.exp(np.divide(gamma - target, beta * var)))
+            if abs(newton - beta) < tol * beta:
+                if gamma <= target:
+                    return beta
+                newton, stretch = beta * (1.0 + stretch), 2.0 * stretch
+            elif not (lo < newton < hi and abs(newton - beta) <= 0.5 * abs(step_old)):
+                newton = 0.5 * (lo + hi)
+            if not lo < newton < hi:
+                return hi
+            step_old, step = step, newton - beta
+            beta = newton
+            _, gamma, var = one_table_moments(table, beta)
+            if gamma > target:
+                lo = beta
+            else:
+                hi = beta
+
+
+def random_tables(rng, n, k, count):
+    return [CostTable.from_costs(rng.normal(5.0, 2.0, k ** (n - 1)), n, k)
+            for _ in range(count)]
+
+
+def pair_tables(family, k, n, sigma, seeds, sep=6.0, k_true=2, d=2):
+    """ExactTables of the paired draws of simulate's trials `seeds`."""
+    out = []
+    for seed in seeds:
+        spec = MixtureSpec(n=n, d=d, k_true=k_true, noise_sigma=sigma, separation=sep,
+                           seed=seed, balanced=n % k_true == 0)
+        x1, x2, _ = draw_paired_samples(spec)
+        cost = KMeansCost if family == "kmeans" else (
+            lambda x, k: PairwiseCost(dissimilarity_from_vectors(x), k))
+        out.append(ExactTables.enumerate(cost(x1, k), cost(x2, k), build_correspondence(x1, x2)))
+    return out
+
+
+class TestStackedPasses:
+    @pytest.mark.parametrize("n, k, block", [
+        (1, 2, None), (3, 2, None), (8, 2, None), (6, 3, None), (3, 4, None),
+        (14, 2, None), (16, 2, None),  # 4 rows and 1 row per call
+        (8, 2, 48), (6, 2, 48),  # rows longer than a block; a part-filled last group
+    ])
+    def test_rows_equal_one_table_passes(self, monkeypatch, n, k, block):
+        if block is not None:
+            monkeypatch.setattr(ex, "_BLOCK", block)
+        rng = np.random.default_rng(n * 10 + k)
+        tables = random_tables(rng, n, k, 3)
+        tables[1] = CostTable.from_costs(np.full(k ** (n - 1), 2.5), n, k)  # flat
+        betas = [0.0, 1e-3, 0.4, 3.0, 1e3]
+        stack = [t for t in tables for _ in betas] + tables[:1]
+        beta_of = betas * len(tables) + [0.7]
+        log_z, excess, var = stacked_moments(stack, beta_of)
+        log_z0 = stacked_log_partition(stack, beta_of)
+        for i, (t, beta) in enumerate(zip(stack, beta_of)):
+            want = one_table_moments(t, beta)
+            assert (log_z[i], excess[i], var[i]) == want
+            assert log_z0[i] == want[0]
+            assert exact_moments(t, beta) == want
+            assert exact_log_partition(t, beta) == want[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_beta_in_a_stack_rejected_before_any_pass(self, monkeypatch, bad):
+        tables = random_tables(np.random.default_rng(0), 6, 2, 5)
+        betas = [0.5, 1.0, bad, 2.0, 0.0]
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(np, "exp", no_pass)
+        for evaluate in (stacked_moments, stacked_log_partition):
+            with pytest.raises(ValueError, match="beta"):
+                evaluate(tables, betas)
+
+
+class TestLockStepCalibration:
+    @staticmethod
+    def targets(tables):
+        """Per ExactTables: gamma = 0 and a target below the resolution
+        floor, targets inside the span, the span itself, past it, and inf."""
+        out = []
+        for t in tables:
+            span = one_table_moments(t.table1, 0.0)[1]
+            out.append([0.0, 1e-20, 1e-3 * span, 0.3 * span, 0.9 * span, span, 2 * span,
+                        math.inf])
+        return out
+
+    @pytest.mark.parametrize("case", ["kmeans", "duplicates-and-flat", "k-above-n",
+                                      "pairwise-k3"])
+    def test_lock_step_equals_each_target_alone(self, case):
+        if case == "kmeans":
+            tables = pair_tables("kmeans", 2, 8, 1.0, [derive_seed(0, t, 0) for t in range(4)])
+        elif case == "duplicates-and-flat":
+            # sigma = 0: duplicate points, so costs tie; sep = 0 as well: a
+            # flat table, span 0 and beta 0 at every target
+            tables = pair_tables("kmeans", 2, 8, 0.0, [1, 2])
+            tables += pair_tables("kmeans", 2, 8, 0.0, [3], sep=0.0)
+            assert np.ptp(tables[-1].table1.costs) == 0.0
+        elif case == "k-above-n":
+            tables = pair_tables("kmeans", 4, 3, 1.0, [1, 2, 3], k_true=1)
+        else:  # tied minima and rounding-level near-ties at k = 3
+            tables = pair_tables("pairwise", 3, 6, 1.0, [derive_seed(4, 4, 0)])
+            tables += pair_tables("pairwise", 3, 6, 1.0, [derive_seed(0, t, 0) for t in (1, 2)])
+        targets = self.targets(tables)
+        # repeated ExactTables stack once; the same targets recur
+        stack = [t for t, ts in zip(tables, targets) for _ in ts] + tables[:1]
+        wanted = [g for ts in targets for g in ts] + targets[0][:1]
+        got = calibrate_betas(stack, wanted)
+        assert got == [one_table_beta(t.table1, g) for t, g in zip(stack, wanted)]
+        assert got == [t.beta_for_gamma(g) for t, g in zip(stack, wanted)]
+        assert [t.span for t in tables] == [one_table_moments(t.table1, 0.0)[1] for t in tables]
+        if case == "duplicates-and-flat":
+            assert tables[-1].span == 0.0 and set(got[-len(targets[-1]) - 1 : -1]) == {0.0}
+        spans = np.array([t.span for t in stack])
+        assert all(b == 0.0 for b, g, s in zip(got, wanted, spans) if g >= s)
+
+    def test_auto_grid_calibrates_its_ends_together(self):
+        (tables,) = pair_tables("kmeans", 2, 8, 1.0, [7])
+        span = one_table_moments(tables.table1, 0.0)[1]
+        grid = tables.auto_grid(5)
+        assert grid == (0.0, *np.geomspace(one_table_beta(tables.table1, 0.9 * span),
+                                           one_table_beta(tables.table1, 1e-3 * span), 4))
+
+    def test_bad_target_rejected_before_any_pass(self, monkeypatch):
+        tables = pair_tables("kmeans", 2, 6, 1.0, [1, 2])
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(ex, "_boltzmann_sums", no_pass)
+        for bad in (math.nan, -0.5):
+            with pytest.raises(ValueError, match="gamma"):
+                calibrate_betas(tables * 2, [1.0, 0.5, bad, 2.0])
