@@ -17,19 +17,27 @@ to the same value; the transported correspondence makes the sent codeword's
 score equal the two-sample overlap that the capacity machinery estimates,
 and wrong codewords score at chance level.
 
+The received sample is the test sample with its objects reordered, so the
+receiver scores on the test table: received object i is test object
+sigma_s[i], and codeword sigma carries training object nu[sigma[i]] to it,
+which is the push-forward nu[sigma[sigma_s^-1]] onto the test sample.
+
 Every table is one label-symmetry slice (object 0 in cluster 1; see
 exact). Relabeling commutes with the push-forward, so the k relabelings of
-a training member land on the k relabelings of one received assignment:
-each slice member scores for k, and its push-forward is looked up on the
-received slice after shifting every label by minus the label that received
-object 0 inherits, that of training object nu[sigma[0]].
+a training member land on the k relabelings of one test assignment: each
+slice member scores for k, and its push-forward is looked up on the test
+slice after shifting every label by minus the label that test object 0
+inherits.
 
 A simulation over a grid of codebook sizes m and widths gamma draws each
-trial's sample pair once and shares it with every (m, gamma) cell: the
-training table, the correspondence and the bound's exact tables are built
-once per trial, the received table once per codebook, and the k shifted
-member-digit matrices once per gamma, one gamma at a time. A cell then
-scores all codewords with one gather.
+trial's sample pair once and shares it with every (m, gamma) cell: a trial
+enumerates its training and test tables, builds the correspondence, and
+scores every codeword of every codebook at every gamma with one gather;
+with the bound, its ExactTables reads the same two tables.
+Approximation sets nest in gamma, so each table entry gets a level, the
+number of sorted gammas at which it is not a member; the gather runs over
+the training members at the widest gamma, and a pair counts at the j-th
+sorted gamma iff both of its levels are <= j.
 
 The bound is evaluated for groups of trials whose training tables hold at
 most _GROUP entries together (at least one trial): the group's beta
@@ -46,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import exact_points, make_cost
-from .core import Correspondence, Dataset, Kind, build_correspondence
+from .core import Correspondence, build_correspondence
 from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
@@ -65,7 +73,6 @@ __all__ = [
     "TrialRow",
     "ErrorRateResult",
     "generate_codebook",
-    "permute_dataset",
     "error_rate_grid",
     "error_bound",
     "wilson_interval",
@@ -132,24 +139,22 @@ def generate_codebook(
     return Codebook(sigmas=np.vstack(rows), rate_bits=rate_bits, seed=seed)
 
 
-def permute_dataset(data: Dataset, sigma: np.ndarray) -> Dataset:
-    """Reorder object indices: output object i is input object sigma[i].
-    Dissimilarities are permuted congruently on rows and columns."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sigma.shape != (data.n,):
-        raise ValueError(f"permutation length {sigma.size} != n = {data.n}")
-    if data.kind is Kind.VECTORS:
-        return Dataset.from_vectors(data.vectors[sigma])
-    return Dataset.from_dissimilarities(data.dissim[np.ix_(sigma, sigma)])
+def _levels(table: CostTable, gammas: list[float]) -> np.ndarray:
+    """Per slice entry, at how many of the sorted gammas it is outside the
+    approximation set. The sets nest, so an entry is a member at the j-th
+    sorted gamma iff its level is <= j."""
+    level = np.zeros(table.costs.size, dtype=np.int64)
+    for gamma in gammas:
+        level += ~table.members(gamma)
+    return level
 
 
-def _shifted_member_digits(table: CostTable, gamma: float) -> np.ndarray:
-    """k x members x n: the label digits (0..k-1) of the slice's
-    gamma-approximation set in encoding order, every digit shifted by -s
-    (mod k) in layer s. Built in place, one object's digits at a time, so no
-    temporary is larger than one column."""
-    k, n = table.k, table.n
-    index = np.flatnonzero(table.members(gamma)) * k
+def _shifted_member_digits(slots: np.ndarray, k: int, n: int) -> np.ndarray:
+    """k x slots x n: the label digits (0..k-1) of the given slice entries in
+    encoding order, every digit shifted by -s (mod k) in layer s. Built in
+    place, one object's digits at a time, so no temporary is larger than one
+    column."""
+    index = slots * k
     shifted = np.empty((k, index.size, n), dtype=np.int64)
     for i in range(n):
         np.mod(index // k**i, k, out=shifted[0, :, i])
@@ -159,35 +164,61 @@ def _shifted_member_digits(table: CostTable, gamma: float) -> np.ndarray:
     return shifted
 
 
-def _codeword_weights(codebook: Codebook, corr: Correspondence,
+def _codeword_weights(codebook: Codebook, sent: int, corr: Correspondence,
                       k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slice-index weights per codeword, and the anchor object whose label
-    received object 0 inherits: received object i is test object sigma[i],
-    the image of training object nu[sigma[i]]. Received object 0 adds k^0 to
-    its anchor's push-forward weight and every other object a multiple of k,
-    so w // k weighs objects 1..n-1 by their place in the slice index."""
-    nu = corr.nu[codebook.sigmas]
+    """Test-table slice-index weights per codeword, and the anchor object
+    whose label test object 0 inherits. Received object i is test object
+    sigma_s[i], to which codeword sigma carries training object nu[sigma[i]];
+    so test object j inherits from training object nu[sigma[sigma_s^-1[j]]].
+    Test object 0 adds k^0 to its anchor's push-forward weight and every
+    other object a multiple of k, so w // k weighs objects 1..n-1 by their
+    place in the slice index."""
+    sigmas = codebook.sigmas[:, np.argsort(codebook.sigmas[sent])]
+    nu = corr.nu[sigmas]
     return pushforward_weights(nu, k) // k, nu[:, 0]
 
 
-def _overlap_scores(member_r: np.ndarray, shifted: np.ndarray,
-                    codewords: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """For every codeword, how many training assignments in the
-    approximation set land in the received sample's when pushed forward:
-    k per slice member whose push-forward, shifted by minus the member's
-    label of the codeword's anchor object, is a received slice member.
-    Codewords are scored in groups whose k index matrices have at most
-    _GATHER entries; at desk sizes that is one gather."""
+def _level_counts(shifted: np.ndarray, level1: np.ndarray, level2: np.ndarray,
+                  weights: np.ndarray, anchors: np.ndarray, ranks: int) -> np.ndarray:
+    """codewords x (ranks + 1): per codeword, how many training slice members
+    pair with a test entry at each level max(training level, test level of
+    the push-forward). The push-forward is shifted by minus the member's
+    label of the codeword's anchor object, onto the test slice."""
+    s = shifted[0][:, anchors]  # members x codewords
+    s *= s.size
+    s += np.arange(s.size).reshape(s.shape)
+    level = level2.take((shifted @ weights.T).take(s))  # from k x members x codewords
+    np.maximum(level, level1[:, None], out=level)
+    level += np.arange(len(weights)) * (ranks + 1)
+    return np.bincount(level.ravel(), minlength=len(weights) * (ranks + 1)).reshape(
+        len(weights), ranks + 1)
+
+
+def _overlap_scores(table1: CostTable, table2: CostTable,
+                    codewords: tuple[np.ndarray, np.ndarray], gammas: list[float]) -> np.ndarray:
+    """codewords x gammas: for every codeword and gamma, how many training
+    assignments in the approximation set land in the test sample's when
+    pushed forward, k per slice member. A pair counts at the j-th sorted
+    gamma iff both of its levels are <= j, so one gather at the widest
+    gamma scores every gamma. Codewords are scored in groups whose k index
+    matrices have at most _GATHER entries; at desk sizes that is one
+    gather."""
+    order = np.argsort(gammas, kind="stable")
+    ranked = [gammas[j] for j in order]
+    level1, level2 = _levels(table1, ranked), _levels(table2, ranked)
+    slots = np.flatnonzero(level1 < len(ranked))
+    shifted = _shifted_member_digits(slots, table1.k, table1.n)
     weights, anchors = codewords
-    k, members = shifted.shape[:2]
-    step = max(1, _GATHER // max(1, k * members))
-    scores = []
-    for i in range(0, len(weights), step):
-        index = shifted @ weights[i : i + step].T  # k x members x codewords
-        s = shifted[0][:, anchors[i : i + step]]  # the shift onto the slice
-        index = index.take(s * s.size + np.arange(s.size).reshape(s.shape))
-        scores.append(member_r[index].sum(axis=0))
-    return k * np.concatenate(scores)
+    member_level = level1[slots]
+    step = max(1, _GATHER // max(1, table1.k * slots.size))
+    counts = np.concatenate([
+        _level_counts(shifted, member_level, level2, weights[i : i + step],
+                      anchors[i : i + step], len(ranked))
+        for i in range(0, len(weights), step)
+    ])
+    scores = np.empty((len(weights), len(ranked)), dtype=np.int64)
+    scores[:, order] = table1.k * np.cumsum(counts[:, :-1], axis=1)
+    return scores
 
 
 def error_bound(info_per_object: float, rate_bits: float, n: int) -> float:
@@ -230,12 +261,12 @@ class ErrorRateResult:
     rows: tuple[TrialRow, ...]
 
 
-def _trial_row(trial: int, sent: int, scores: np.ndarray) -> TrialRow:
-    decoded = int(np.argmax(scores))
-    top = np.sort(scores)[::-1]
+def _trial_row(trial: int, sent: int, scores: list[int]) -> TrialRow:
+    best = max(scores)
+    decoded = scores.index(best)
     return TrialRow(
-        trial=trial, sent=sent, decoded=decoded, correct=decoded == sent,
-        best_score=int(top[0]), second_score=int(top[1]) if top.size > 1 else 0,
+        trial=trial, sent=sent, decoded=decoded, correct=decoded == sent, best_score=best,
+        second_score=max(scores[:decoded] + scores[decoded + 1 :], default=0),
     )
 
 
@@ -268,8 +299,8 @@ def error_rate_grid(
 
     Trial t draws one paired sample from the generator, from streams keyed
     by (seed, t), and serves every cell; each codebook picks its uniform
-    message for trial t, and that message's received table serves every
-    gamma. With compute_bound=True the analytic bound is evaluated per trial
+    message for trial t, and one gather on the trial's tables scores every
+    cell. With compute_bound=True the analytic bound is evaluated per trial
     at each gamma on the trial's own sample pair (one beta calibration per
     trial and gamma, shared by all codebooks; a group of trials calibrates
     and evaluates its points together) and averaged: the bound holds in
@@ -287,30 +318,24 @@ def error_rate_grid(
     rows = [[[] for _ in gammas] for _ in codebooks]
     infos: list[list[float]] = [[] for _ in gammas]  # per gamma, per trial
     group = max(1, _GROUP // k ** (spec.n - 1))
+    ends = np.cumsum([cb.m for cb in codebooks])[:-1]  # codebook boundaries in a trial's scores
     for first in range(0, trials, group):
         pairs = []  # the group's exact tables, one ExactTables per trial
         for t in range(first, min(first + group, trials)):
             x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
-            table1 = enumerate_costs(make_cost(cost_family, x1, k), budget=budget)
+            table1, table2 = (enumerate_costs(make_cost(cost_family, x, k), budget=budget)
+                              for x in (x1, x2))
             corr = build_correspondence(x1, x2)
             if compute_bound:
-                table2 = enumerate_costs(make_cost(cost_family, x2, k), budget=budget)
                 pairs.append(ExactTables(table1, table2, corr))
-            received = []  # per codebook: (sent, received table, codewords)
-            for cb in codebooks:
-                sent = int(derive_rng(seed, t, 1).integers(cb.m))
-                x_r = permute_dataset(x2, cb.sigmas[sent])
-                received.append((sent, enumerate_costs(make_cost(cost_family, x_r, k),
-                                                       budget=budget),
-                                 _codeword_weights(cb, corr, k)))
-            for j, gamma in enumerate(gammas):
-                # one gamma's member digits at a time: at wide gamma they hold
-                # k^n n entries
-                shifted = _shifted_member_digits(table1, gamma)
-                for (sent, table_r, codewords), cb_rows in zip(received, rows):
-                    scores = _overlap_scores(table_r.members(gamma), shifted, codewords)
-                    cb_rows[j].append(_trial_row(t, sent, scores))
-                del shifted
+            sent = [int(derive_rng(seed, t, 1).integers(cb.m)) for cb in codebooks]
+            weights, anchors = zip(*(_codeword_weights(cb, s, corr, k)
+                                     for cb, s in zip(codebooks, sent)))
+            scores = _overlap_scores(table1, table2, (np.concatenate(weights),
+                                                      np.concatenate(anchors)), gammas)
+            for s, cb_scores, cb_rows in zip(sent, np.split(scores, ends), rows):
+                for scored, cell in zip(cb_scores.T.tolist(), cb_rows):
+                    cell.append(_trial_row(t, s, scored))
         if pairs:  # the group's (trial, gamma) points, calibrated and evaluated together
             per_point = [tables for tables in pairs for _ in gammas]
             betas = calibrate_betas(per_point, [g for _ in pairs for g in gammas])

@@ -114,8 +114,11 @@ class CostTable:
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         if costs.size != k ** (n - 1):
             raise ValueError(f"table length {costs.size} != {k ** (n - 1)}")
+        r_min = float(costs.min())
+        if not (np.isfinite(r_min) and np.isfinite(costs.max())):
+            raise ValueError("costs are not finite: the data's scale overflows float64")
         costs.flags.writeable = False
-        return CostTable(costs=costs, n=n, k=k, r_min=float(costs.min()))
+        return CostTable(costs=costs, n=n, k=k, r_min=r_min)
 
     @functools.cached_property
     def argmin_index(self) -> int:

@@ -12,7 +12,6 @@ import pytest
 
 from ascoding.capacity import CapacityConfig, capacity_curve, select_model
 from ascoding.cli import main as cli_main
-from ascoding import comms
 from ascoding.comms import error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
 from ascoding.costs import JointCost, KMeansCost
@@ -20,6 +19,7 @@ from ascoding.datagen import MixtureSpec, draw_paired_samples
 from ascoding.exact import enumerate_costs, exact_log_partition, exact_moments, joint_cost_table
 from ascoding.capacity import make_cost
 from ascoding.thermo import default_beta_grid, thermo_integrate
+from conftest import decoded_intersection
 
 LN2 = math.log(2)
 
@@ -38,16 +38,6 @@ def instance(seed, n=8, d=2, k_true=2, sigma=0.8, sep=5.0):
 def set_size(table, gamma):
     """|C_gamma|: k per slice member."""
     return table.k * int(table.members(gamma).sum())
-
-
-def decoded_intersection(table1, table2, corr, gamma):
-    """The channel decoder's score of the identity codeword when table2 is
-    the received table: the two-sample approximation-set intersection."""
-    identity = comms.Codebook(sigmas=np.arange(table1.n)[None], rate_bits=0.0, seed=0)
-    (score,) = comms._overlap_scores(table2.members(gamma),
-                                     comms._shifted_member_digits(table1, gamma),
-                                     comms._codeword_weights(identity, corr, table1.k))
-    return int(score)
 
 
 def test_criterion_1_oracle_equivalence_partition_functions():

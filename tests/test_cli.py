@@ -282,6 +282,18 @@ class TestErrorPaths:
         assert rc == 4
         assert not (tmp_path / "x" / "summary.json").exists()
 
+    # the coordinates are finite, but their squares overflow: costs are inf or nan
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_costs_exit_2(self, tmp_path, capsys):
+        assert run("gen", "--n", 8, "--k-true", 2, "--sep", "6e200", "--sigma", "1e200",
+                   "--balanced", "--seed", 1, "--out", tmp_path / "data") == 0
+        rc = run("capacity", "--train", tmp_path / "data" / "train.csv",
+                 "--test", tmp_path / "data" / "test.csv", "--k", 2, "--engine", "exact",
+                 "--out", tmp_path / "x")
+        assert rc == 2
+        assert "scale" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "summary.json").exists()
+
     @pytest.mark.parametrize("grid", ["0,nan", "0,inf"])
     def test_non_finite_beta_grid_exit_2(self, dataset_dir, tmp_path, grid):
         rc = run("capacity", "--train", dataset_dir / "train.csv",

@@ -14,7 +14,6 @@ from ascoding.comms import (
     error_bound,
     error_rate_grid,
     generate_codebook,
-    permute_dataset,
     wilson_interval,
 )
 from ascoding.core import Dataset, build_correspondence
@@ -23,6 +22,7 @@ from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paire
 from ascoding.errors import BudgetError
 from ascoding.exact import GAMMA_SLACK, ExactTables, decode_indices, enumerate_costs
 from ascoding.rng import derive_rng, derive_seed
+from conftest import permute_dataset
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +108,11 @@ class TestPermuteDataset:
 
 def decoder_scores(codebook, sent, train, test, family, k, gamma, budget=DEFAULT_BUDGET):
     """Overlap scores of one channel use, from the calls error_rate_grid
-    makes: the training and received tables, then one scoring gather."""
-    received = permute_dataset(test, codebook.sigmas[sent])
-    table1, table_r = (enumerate_costs(make_cost(family, x, k), budget=budget)
-                       for x in (train, received))
-    codewords = comms._codeword_weights(codebook, build_correspondence(train, test), k)
-    return comms._overlap_scores(table_r.members(gamma),
-                                 comms._shifted_member_digits(table1, gamma), codewords)
+    makes: the training and test tables, then one scoring gather."""
+    table1, table2 = (enumerate_costs(make_cost(family, x, k), budget=budget)
+                      for x in (train, test))
+    codewords = comms._codeword_weights(codebook, sent, build_correspondence(train, test), k)
+    return comms._overlap_scores(table1, table2, codewords, [gamma])[:, 0]
 
 
 def oracle_scores(codebook, sent_index, train, fresh_test, k, gamma):
@@ -359,6 +357,12 @@ class TestErrorRateGrid:
             ("pairwise", 3, 6, 1.0, (2, 3), (0.25, 3.0, 1e6), True, None),
             # codewords scored in several small gathers
             ("kmeans", 2, 6, 1.0, (8,), (0.0, 2.0), False, 5),
+            # unsorted, with a duplicate: the levels rank gammas, the cells keep their order
+            ("kmeans", 2, 6, 1.0, (1, 2, 4), (2.0, 0.0, math.inf, 0.0), True, None),
+            ("pairwise", 3, 6, 1.0, (1, 3), (2.0, 0.0, math.inf, 0.0), False, 5),
+            # gammas at trial 0's exact cost gaps: members on the GAMMA_SLACK boundary
+            ("kmeans", 2, 6, 1.0, (1, 4), "gaps", True, None),
+            ("pairwise", 3, 6, 0.0, (1, 4), "gaps", False, None),
         ],
     )
     def test_matches_per_cell_reference(self, monkeypatch, family, k, n, sigma, sizes,
@@ -367,6 +371,12 @@ class TestErrorRateGrid:
             monkeypatch.setattr(comms, "_GATHER", gather)
         spec = MixtureSpec(n=n, d=2, k_true=2, noise_sigma=sigma, separation=6.0,
                            seed=3, balanced=True)
+        if gammas == "gaps":
+            pair = draw_paired_samples(replace(spec, seed=derive_seed(4, 0, 0)))[:2]
+            gaps = np.unique(np.concatenate([
+                t.costs - t.r_min for t in (enumerate_costs(make_cost(family, x, k))
+                                            for x in pair)]))
+            gammas = tuple(gaps[[2, 0, 1, 3, -1]].tolist())
         codebooks = [generate_codebook(n, math.log2(m) / n, seed=2) for m in sizes]
         grid = error_rate_grid(codebooks, spec, family, k, gammas, trials=6, seed=4,
                                compute_bound=compute_bound)
@@ -411,6 +421,30 @@ class TestErrorRateGrid:
                         seed=0, compute_bound=True)
         assert len(calls) <= 40
         assert sum(calls) >= 40 * 5 * 3  # every point's three log-partitions at least
+
+    @pytest.mark.parametrize("compute_bound", [False, True])
+    def test_two_tables_and_one_gather_per_trial(self, monkeypatch, compute_bound):
+        # the criterion-5 grid: each trial enumerates its training and test
+        # tables and scores every (codebook, gamma) cell with one gather
+        counts = {"enumerate": 0, "gather": 0}
+        enumerate_, gather = comms.enumerate_costs, comms._level_counts
+
+        def counted_enumerate(*args, **kwargs):
+            counts["enumerate"] += 1
+            return enumerate_(*args, **kwargs)
+
+        def counted_gather(*args):
+            counts["gather"] += 1
+            return gather(*args)
+
+        monkeypatch.setattr(comms, "enumerate_costs", counted_enumerate)
+        monkeypatch.setattr(comms, "_level_counts", counted_gather)
+        spec = MixtureSpec(n=8, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=0, balanced=True)
+        codebooks = [generate_codebook(8, math.log2(m) / 8, seed=0) for m in (2, 4, 8)]
+        error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
+                        seed=0, compute_bound=compute_bound)
+        assert counts == {"enumerate": 2 * 40, "gather": 40}
 
     def test_budget_overflow_raises(self):
         spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,

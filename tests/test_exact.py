@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ascoding import comms
 from ascoding.capacity import exact_points
 from ascoding.core import (
     Assignment,
@@ -33,6 +32,7 @@ from ascoding.exact import (
     stacked_moments,
 )
 from ascoding.rng import derive_seed
+from conftest import decoded_intersection
 
 
 def vecs(*rows):
@@ -47,16 +47,6 @@ def encode(labels, k):
 def set_size(table, gamma):
     """|C_gamma|: k per slice member."""
     return table.k * int(table.members(gamma).sum())
-
-
-def decoded_intersection(table1, table2, corr, gamma):
-    """The channel decoder's score of the identity codeword when table2 is
-    the received table: the two-sample approximation-set intersection."""
-    identity = comms.Codebook(sigmas=np.arange(table1.n)[None], rate_bits=0.0, seed=0)
-    (score,) = comms._overlap_scores(table2.members(gamma),
-                                     comms._shifted_member_digits(table1, gamma),
-                                     comms._codeword_weights(identity, corr, table1.k))
-    return int(score)
 
 
 def mean_cost(table, beta):
