@@ -31,20 +31,24 @@ inherits.
 
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: a trial
-enumerates its training and test tables, builds the correspondence, and
-scores every codeword of every codebook at every gamma with one gather;
-with the bound, its ExactTables reads the same two tables.
+builds its correspondence and its training and test tables, and scores
+every codeword of every codebook at every gamma with one gather; with the
+bound, its ExactTables reads the same two tables.
 Approximation sets nest in gamma, so each table entry gets a level, the
 number of sorted gammas at which it is not a member; the gather runs over
 the training members at the widest gamma, and a pair counts at the j-th
 sorted gamma iff both of its levels are <= j.
 
-The bound is evaluated for groups of trials whose training tables hold at
-most _GROUP entries together (at least one trial): the group's beta
-calibrations, one per trial and gamma, advance in lock-step, and its
-points are evaluated together, so each pass over the exact tables serves
-the whole group (see exact.calibrate_betas). Every value is bit for bit
-the one a trial gives alone.
+Trials run in groups whose training tables hold at most _GROUP entries
+together (at least one trial), and a group is enumerated, joined and
+minimized as one stack: one enumerate_costs call builds all its training
+and test tables, and with the bound one ExactTables.stack call builds its
+joint tables with one push-forward gather and its training minimizers
+with one orbit search. The group's beta calibrations, one per trial and
+gamma, advance in lock-step, and its points are evaluated together, so
+each pass over the exact tables serves the whole group (see
+exact.calibrate_betas). Every value is bit for bit the one a trial gives
+alone.
 """
 from __future__ import annotations
 
@@ -320,15 +324,21 @@ def error_rate_grid(
     group = max(1, _GROUP // k ** (spec.n - 1))
     ends = np.cumsum([cb.m for cb in codebooks])[:-1]  # codebook boundaries in a trial's scores
     for first in range(0, trials, group):
-        pairs = []  # the group's exact tables, one ExactTables per trial
-        for t in range(first, min(first + group, trials)):
-            x1, x2, _ = draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))
-            table1, table2 = (enumerate_costs(make_cost(cost_family, x, k), budget=budget)
-                              for x in (x1, x2))
-            corr = build_correspondence(x1, x2)
-            if compute_bound:
-                pairs.append(ExactTables(table1, table2, corr))
-            sent = [int(derive_rng(seed, t, 1).integers(cb.m)) for cb in codebooks]
+        ts = range(first, min(first + group, trials))
+        samples = [draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))[:2]
+                   for t in ts]
+        costs = [make_cost(cost_family, x, k) for pair in zip(*samples) for x in pair]
+        corrs = [build_correspondence(x1, x2) for x1, x2 in samples]
+        tables = enumerate_costs(*costs, budget=budget)  # training tables, then test tables
+        tables1, tables2 = tables[: len(ts)], tables[len(ts) :]
+        for t, table1, table2, corr in zip(ts, tables1, tables2, corrs):
+            # each codebook draws from the trial's stream from its start
+            rng = derive_rng(seed, t, 1)
+            start = rng.bit_generator.state
+            sent = []
+            for cb in codebooks:
+                rng.bit_generator.state = start
+                sent.append(int(rng.integers(cb.m)))
             weights, anchors = zip(*(_codeword_weights(cb, s, corr, k)
                                      for cb, s in zip(codebooks, sent)))
             scores = _overlap_scores(table1, table2, (np.concatenate(weights),
@@ -336,8 +346,9 @@ def error_rate_grid(
             for s, cb_scores, cb_rows in zip(sent, np.split(scores, ends), rows):
                 for scored, cell in zip(cb_scores.T.tolist(), cb_rows):
                     cell.append(_trial_row(t, s, scored))
-        if pairs:  # the group's (trial, gamma) points, calibrated and evaluated together
-            per_point = [tables for tables in pairs for _ in gammas]
+        if compute_bound:  # the group's (trial, gamma) points, calibrated and evaluated together
+            pairs = ExactTables.stack(tables1, tables2, corrs)
+            per_point = [pair for pair in pairs for _ in gammas]
             betas = calibrate_betas(per_point, [g for _ in pairs for g in gammas])
             points = exact_points(per_point, betas, "multinomial")
             for j, info in enumerate(infos):

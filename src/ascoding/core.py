@@ -81,6 +81,18 @@ class Dataset:
             raise ValueError("dataset has no vector representation")
         return self.vectors.shape[1]
 
+    def check_scale(self) -> None:
+        """Reject vectors whose squared norms, or those of their sums and
+        differences, overflow float64; call before any cost statistic or
+        distance is computed. Each is at most d ((n + 1) max |x_ij|)^2 and
+        every cost at most 8 times that, so finite bounds keep every sum
+        finite and no numpy overflow warning is raised."""
+        if self.vectors is None:
+            return
+        bound = (self.n + 1) * float(np.abs(self.vectors).max())
+        if not math.isfinite(8.0 * self.d * bound * bound):
+            raise ValueError("squared norms are not finite: the data's scale overflows float64")
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -171,6 +183,8 @@ def build_correspondence(train: Dataset, test: Dataset) -> Correspondence:
         raise ValueError(f"sample sizes differ: train n={train.n}, test n={test.n}")
     if train.d != test.d:
         raise ValueError(f"dimension mismatch: train d={train.d}, test d={test.d}")
+    train.check_scale()
+    test.check_scale()
     a, b = train.vectors, test.vectors
     # n x n squared distances; argmin picks the lowest index on exact ties.
     d2 = ((b[:, None, :] - a[None, :, :]) ** 2).sum(axis=2)

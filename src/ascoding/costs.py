@@ -17,9 +17,10 @@ hold the replicas of several costs of one family (`replica_batch`): a
 candidate's training, test and joint costs then move together. Its `sweep`
 is the one kernel behind the Gibbs sampler, replica exchange, the pilot
 grid and the multistart minimizer search. The same statistics are additive over
-disjoint object sets, so each cost also exposes a SplitHalf: per-cluster
-statistics of the two halves of the objects from which the exact engine
-assembles every assignment's cost without decoding it.
+disjoint object sets, so each family also has a SplitHalf: per-cluster
+statistics of the two halves of the objects, stacked over the datasets of
+several costs, from which the exact engine assembles every assignment's
+cost of all those costs without decoding it.
 """
 from __future__ import annotations
 
@@ -175,16 +176,21 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
 
 class SplitHalf(ABC):
     """Per-cluster statistics of the low half (objects 0..h-1) and the high
-    half (objects h..n-1) of one cost's objects.
+    half (objects h..n-1) of the objects of several costs of one family, n
+    and k, stacked over the costs.
 
     Built from per-half label masks: masks[v, a, i] is 1.0 when object i of
-    the half carries label v+1 in half-assignment a, and 0.0 otherwise.
+    the half carries label v+1 in half-assignment a, and 0.0 otherwise. The
+    masks do not depend on the data, so counts are shared by the stack, and
+    each cost's slice of every matrix product is the product one cost alone
+    makes, with the same operands: stacking never changes a value.
     """
 
     @abstractmethod
-    def block(self, lo: slice, hi: slice) -> np.ndarray:
+    def block(self, tables: slice, lo: slice, hi: slice) -> np.ndarray:
         """Costs of every pairing of the low-half assignments `lo` with the
-        high-half assignments `hi`, shaped (hi rows, lo rows)."""
+        high-half assignments `hi` under each cost of `tables`, shaped
+        (tables, hi rows, lo rows)."""
 
 
 class CostFunction(ABC):
@@ -214,11 +220,9 @@ class CostFunction(ABC):
         raise NotImplementedError(f"{type(self).__name__} has no unit table")
 
     _replicas: type[ReplicaState]  # the state class of the cost's family
-
-    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> SplitHalf:
-        """Statistics of the two halves of the objects for exact enumeration;
-        the masks cover objects 0..h-1 and h..n-1 with h = lo_masks.shape[2]."""
-        raise NotImplementedError(f"{type(self).__name__} has no split-half statistics")
+    # the split-half class of the cost's family, built from a stack of its
+    # costs and the masks of objects 0..h-1 and h..n-1 (h = lo_masks.shape[2])
+    _halves: type[SplitHalf]
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +276,50 @@ class KMeansReplicas(ReplicaState):
         self._stats[rows, new] += unit
 
 
+class KMeansHalves(SplitHalf):
+    """Per half, cluster and cost: count, vector sum, squared-norm sum and
+    the squared norm of the vector sum. Joining two halves adds them; the
+    only cross-half term is the dot product of the two vector sums."""
+
+    def __init__(self, costs: list[KMeansCost], lo_masks: np.ndarray, hi_masks: np.ndarray):
+        h = lo_masks.shape[2]
+        x = np.stack([cost._x for cost in costs])
+        sq = np.stack([cost._sq for cost in costs])[..., None]
+        self._lo = [self._stats(m, x[:, :h], sq[:, :h]) for m in lo_masks]
+        self._hi = [self._stats(m, x[:, h:], sq[:, h:]) for m in hi_masks]
+
+    @staticmethod
+    def _stats(mask, x, sq):
+        sums = np.matmul(mask, x)
+        return mask.sum(axis=1), sums, np.matmul(mask, sq)[..., 0], (sums**2).sum(axis=-1)
+
+    def block(self, tables: slice, lo: slice, hi: slice) -> np.ndarray:
+        total = 0.0
+        for (c_lo, s_lo, q_lo, n_lo), (c_hi, s_hi, q_hi, n_hi) in zip(self._lo, self._hi):
+            norm = np.matmul(s_hi[tables, hi], s_lo[tables, lo].transpose(0, 2, 1))
+            norm *= 2.0
+            norm += n_hi[tables, hi, None]
+            norm += n_lo[tables, None, lo]
+            # an empty cluster has zero sums, so max(cnt, 1) yields its 0 cost
+            norm /= np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
+            scatter = q_hi[tables, hi, None] + q_lo[tables, None, lo]
+            scatter -= norm
+            # per-cluster scatter is >= 0 up to cancellation error
+            total = total + np.maximum(scatter, 0.0, out=scatter)
+        return total
+
+
 class KMeansCost(CostFunction):
     """Total within-cluster squared scatter around cluster means."""
 
     name = "kmeans"
     _replicas = KMeansReplicas
+    _halves = KMeansHalves
 
     def __init__(self, data: Dataset, k: int):
         if data.kind is not Kind.VECTORS:
             raise ValueError("kmeans cost requires a vector dataset")
+        data.check_scale()
         super().__init__(n=data.n, k=k)
         self.data = data
         self._x = data.vectors
@@ -310,40 +349,6 @@ class KMeansCost(CostFunction):
         if groups is not None:
             x, sq, size = groups @ x, groups @ sq, groups.sum(axis=1)
         return np.column_stack([size, sq, x])
-
-    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "KMeansHalves":
-        return KMeansHalves(self, lo_masks, hi_masks)
-
-
-class KMeansHalves(SplitHalf):
-    """Per half and cluster: count, vector sum, squared-norm sum and the
-    squared norm of the vector sum. Joining two halves adds them; the only
-    cross-half term is the dot product of the two vector sums."""
-
-    def __init__(self, cost: KMeansCost, lo_masks: np.ndarray, hi_masks: np.ndarray):
-        h = lo_masks.shape[2]
-        self._lo = [self._stats(m, cost._x[:h], cost._sq[:h]) for m in lo_masks]
-        self._hi = [self._stats(m, cost._x[h:], cost._sq[h:]) for m in hi_masks]
-
-    @staticmethod
-    def _stats(mask, x, sq):
-        sums = mask @ x
-        return mask.sum(axis=1), sums, mask @ sq, (sums**2).sum(axis=1)
-
-    def block(self, lo: slice, hi: slice) -> np.ndarray:
-        total = 0.0
-        for (c_lo, s_lo, q_lo, n_lo), (c_hi, s_hi, q_hi, n_hi) in zip(self._lo, self._hi):
-            norm = s_hi[hi] @ s_lo[lo].T
-            norm *= 2.0
-            norm += n_hi[hi, None]
-            norm += n_lo[None, lo]
-            # an empty cluster has zero sums, so max(cnt, 1) yields its 0 cost
-            norm /= np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
-            scatter = q_hi[hi, None] + q_lo[None, lo]
-            scatter -= norm
-            # per-cluster scatter is >= 0 up to cancellation error
-            total = total + np.maximum(scatter, 0.0, out=scatter)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +407,39 @@ class PairwiseReplicas(ReplicaState):
         self._rs[rows, new] += col
 
 
+class PairwiseHalves(SplitHalf):
+    """Per half, cluster and cost: count and ordered within-half pair sum W.
+    The low half also keeps its dissimilarity sums to each high-half object,
+    so the cross-half pairs of a block are one matrix product with the high
+    half's masks: W = W_lo + W_hi + 2 (mask_lo @ D[lo, hi]) @ mask_hi.T."""
+
+    def __init__(self, costs: list[PairwiseCost], lo_masks: np.ndarray, hi_masks: np.ndarray):
+        h = lo_masks.shape[2]
+        d = np.stack([cost._d for cost in costs])
+        self._lo = [(m.sum(axis=1), (np.matmul(m, d[:, :h, :h]) * m).sum(axis=-1),
+                     np.matmul(m, d[:, :h, h:])) for m in lo_masks]
+        self._hi = [(m.sum(axis=1), (np.matmul(m, d[:, h:, h:]) * m).sum(axis=-1), m)
+                    for m in hi_masks]
+
+    def block(self, tables: slice, lo: slice, hi: slice) -> np.ndarray:
+        total = 0.0
+        for (c_lo, w_lo, cross_lo), (c_hi, w_hi, m_hi) in zip(self._lo, self._hi):
+            w = np.matmul(m_hi[hi], cross_lo[tables, lo].transpose(0, 2, 1))
+            w *= 2.0
+            w += w_hi[tables, hi, None]
+            w += w_lo[tables, None, lo]
+            # an empty cluster has W = 0, so max(cnt, 1) yields its 0 cost
+            w /= 2.0 * np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
+            total = total + w
+        return total
+
+
 class PairwiseCost(CostFunction):
     """Within-cluster dissimilarity sums, each cluster normalized by 2 n_v."""
 
     name = "pairwise"
     _replicas = PairwiseReplicas
+    _halves = PairwiseHalves
 
     def __init__(self, data: Dataset, k: int):
         if data.kind is not Kind.DISSIMILARITIES:
@@ -438,35 +471,6 @@ class PairwiseCost(CostFunction):
         if groups is not None:
             dissim, size = groups @ self._d @ groups.T, groups.sum(axis=1)
         return np.vstack([dissim, size])
-
-    def split_half(self, lo_masks: np.ndarray, hi_masks: np.ndarray) -> "PairwiseHalves":
-        return PairwiseHalves(self, lo_masks, hi_masks)
-
-
-class PairwiseHalves(SplitHalf):
-    """Per half and cluster: count and ordered within-half pair sum W. The
-    low half also keeps its dissimilarity sums to each high-half object, so
-    the cross-half pairs of a block are one matrix product with the high
-    half's masks: W = W_lo + W_hi + 2 (mask_lo @ D[lo, hi]) @ mask_hi.T."""
-
-    def __init__(self, cost: PairwiseCost, lo_masks: np.ndarray, hi_masks: np.ndarray):
-        h = lo_masks.shape[2]
-        d = cost._d
-        self._lo = [(m.sum(axis=1), ((m @ d[:h, :h]) * m).sum(axis=1), m @ d[:h, h:])
-                    for m in lo_masks]
-        self._hi = [(m.sum(axis=1), ((m @ d[h:, h:]) * m).sum(axis=1), m) for m in hi_masks]
-
-    def block(self, lo: slice, hi: slice) -> np.ndarray:
-        total = 0.0
-        for (c_lo, w_lo, cross_lo), (c_hi, w_hi, m_hi) in zip(self._lo, self._hi):
-            w = m_hi[hi] @ cross_lo[lo].T
-            w *= 2.0
-            w += w_hi[hi, None]
-            w += w_lo[None, lo]
-            # an empty cluster has W = 0, so max(cnt, 1) yields its 0 cost
-            w /= 2.0 * np.maximum(c_hi[hi, None] + c_lo[None, lo], 1.0)
-            total = total + w
-        return total
 
 
 # ---------------------------------------------------------------------------

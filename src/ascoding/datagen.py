@@ -119,6 +119,7 @@ def dissimilarity_from_vectors(data: Dataset) -> Dataset:
     """Squared Euclidean distance matrix of a vector dataset."""
     if data.kind is not Kind.VECTORS:
         raise ValueError("expected a vector dataset")
+    data.check_scale()
     x = data.vectors
     diff = x[:, None, :] - x[None, :, :]
     return Dataset.from_dissimilarities((diff**2).sum(axis=2))

@@ -28,13 +28,19 @@ ExactTables holds the training, test and joint tables of one sample pair
 and calibrates beta for a target gamma on the training table; capacity
 curves, point queries and the channel bound each build one per pair.
 
-Boltzmann sums are taken over stacks of equal-length tables, each row at
-its own beta (stacked_moments, stacked_log_partition): tables of at most
-_BLOCK entries share numpy calls, and every row sums exactly what a pass
-over its table alone sums, so stacking never changes a value.
-calibrate_betas advances many beta calibrations in lock-step on such
-stacks; exact_moments, exact_log_partition and
-ExactTables.beta_for_gamma are their one-table cases.
+Work on many tables of one n and k is stacked, and each table is bit for
+bit what it is alone, so a single table or pair is a stack of one.
+enumerate_costs builds the tables of several costs from split-half
+statistics stacked over their datasets, joint_cost_table joins many pairs
+with one push-forward gather, and ExactTables.stack builds many pairs' sets
+with one search of the relabeling orbits of their tied training minima.
+Tables of at most _TILE entries share numpy calls; a longer one is built
+alone, tile by tile. Boltzmann sums are taken over stacks of equal-length
+tables, each row at its own beta (stacked_moments, stacked_log_partition):
+tables of at most _BLOCK entries share numpy calls, and every row sums
+exactly what a pass over its table alone sums. calibrate_betas advances
+many beta calibrations in lock-step on such stacks; exact_moments and
+exact_log_partition are their one-table cases.
 
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
@@ -98,11 +104,12 @@ def _lowest_in_orbit(indices: np.ndarray, n: int, k: int) -> np.ndarray:
 class CostTable:
     """Costs of one cost function on the slice: the k^(n-1) assignments with
     object 0 in cluster 1, entry i holding encoding index k * i. argmin_index,
-    computed on first read, is an encoding index: the lowest member of the
-    relabeling orbits of the tied minima, which is the lowest tied index of
-    all k^n assignments whenever relabelings cost the same bits (at k <= 2
-    the cluster costs add commutatively; at k >= 3 they are summed in label
-    order, so relabelings can differ by an ulp)."""
+    computed on first read unless a stack filled it (_cache_argmins), is an
+    encoding index: the lowest member of the relabeling orbits of the tied
+    minima, which is the lowest tied index of all k^n assignments whenever
+    relabelings cost the same bits (at k <= 2 the cluster costs add
+    commutatively; at k >= 3 they are summed in label order, so relabelings
+    can differ by an ulp)."""
 
     costs: np.ndarray
     n: int
@@ -122,10 +129,8 @@ class CostTable:
 
     @functools.cached_property
     def argmin_index(self) -> int:
-        # every tied orbit meets the slice; its lowest member may not
-        tied = np.flatnonzero(self.costs == self.r_min) * self.k
-        return min(int(_lowest_in_orbit(tied[i : i + _BLOCK], self.n, self.k).min())
-                   for i in range(0, tied.size, _BLOCK))
+        _cache_argmins([self])
+        return self.__dict__["argmin_index"]
 
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
@@ -149,14 +154,46 @@ def _half_labels(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, masks
 
 
-def _blocks(rows: int, cols: int):
-    """(hi, lo) slice pairs tiling a rows x cols table in blocks of at most
-    _TILE entries."""
+def _cache_argmins(tables: Sequence[CostTable]) -> None:
+    """Fill the argmin_index of every table that lacks one, from one
+    _lowest_in_orbit pass over the tied minima of all of them, in chunks of
+    _BLOCK ties; the tables share n and k."""
+    todo = list({id(t): t for t in tables if "argmin_index" not in t.__dict__}.values())
+    if not todo:
+        return
+    n, k = todo[0].n, todo[0].k
+    if any((t.n, t.k) != (n, k) for t in todo):
+        raise ValueError("tables must share n and k")
+    # every tied orbit meets the slice; its lowest member may not
+    tied = [np.flatnonzero(t.costs == t.r_min) for t in todo]
+    indices = np.concatenate(tied) * k
+    lowest = np.concatenate([_lowest_in_orbit(indices[i : i + _BLOCK], n, k)
+                             for i in range(0, indices.size, _BLOCK)])
+    starts = np.cumsum([0] + [ties.size for ties in tied[:-1]])
+    for t, index in zip(todo, np.minimum.reduceat(lowest, starts).tolist()):
+        t.__dict__["argmin_index"] = index  # where functools.cached_property keeps it
+
+
+def _rows(tables: Sequence[CostTable]) -> np.ndarray:
+    """The costs of equal-length tables as the rows of one array, a view of
+    the table when there is one."""
+    if len(tables) == 1:
+        return tables[0].costs[None]
+    return np.stack([t.costs for t in tables])
+
+
+def _blocks(tables: int, rows: int, cols: int):
+    """(tables, hi, lo) slice triples tiling a stack of rows x cols tables in
+    blocks of at most _TILE entries: as many whole tables as fit, or the
+    tiles of one table."""
+    step_t = max(1, _TILE // (rows * cols))
     step_lo = min(cols, _TILE)
     step_hi = max(1, _TILE // step_lo)
-    for h0 in range(0, rows, step_hi):
-        for l0 in range(0, cols, step_lo):
-            yield slice(h0, min(h0 + step_hi, rows)), slice(l0, min(l0 + step_lo, cols))
+    for t0 in range(0, tables, step_t):
+        for h0 in range(0, rows, step_hi):
+            for l0 in range(0, cols, step_lo):
+                yield (slice(t0, min(t0 + step_t, tables)), slice(h0, min(h0 + step_hi, rows)),
+                       slice(l0, min(l0 + step_lo, cols)))
 
 
 def _low_half(n: int) -> int:
@@ -164,19 +201,35 @@ def _low_half(n: int) -> int:
     return max(1, n // 2)
 
 
-def enumerate_costs(cost: CostFunction, budget: int = DEFAULT_BUDGET) -> CostTable:
-    """Materialize the cost table of a hypothesis class on its slice from
-    the split-half statistics of the cost; budget bounds k^n."""
-    if cost.k**cost.n > budget:
-        raise BudgetError(f"k^n = {cost.k**cost.n} exceeds enumeration budget {budget}")
-    h = _low_half(cost.n)
-    lo_masks = _half_labels(h, cost.k)[1][:, :: cost.k]
-    _, hi_masks = _half_labels(cost.n - h, cost.k)
-    halves = cost.split_half(lo_masks, hi_masks)
-    out = np.empty((hi_masks.shape[1], lo_masks.shape[1]))
-    for hi, lo in _blocks(*out.shape):
-        out[hi, lo] = halves.block(lo, hi)
-    return CostTable.from_costs(out.ravel(), cost.n, cost.k)
+def enumerate_costs(*costs: CostFunction, budget: int = DEFAULT_BUDGET) -> list[CostTable]:
+    """Materialize the cost tables of costs of one n and k on their slice, one
+    per cost, from split-half statistics stacked over the costs of each
+    family and data shape; budget bounds k^n and is checked before any table
+    is built."""
+    if not costs:
+        return []
+    n, k = costs[0].n, costs[0].k
+    if k**n > budget:
+        raise BudgetError(f"k^n = {k**n} exceeds enumeration budget {budget}")
+    if any((c.n, c.k) != (n, k) for c in costs):
+        raise ValueError("stacked costs must share n and k")
+    h = _low_half(n)
+    lo_masks = _half_labels(h, k)[1][:, ::k]
+    _, hi_masks = _half_labels(n - h, k)
+    stacks: dict[tuple, list[int]] = {}
+    for i, cost in enumerate(costs):
+        data = cost.data.dissim if cost.data.vectors is None else cost.data.vectors
+        stacks.setdefault((type(cost), data.shape), []).append(i)
+    tables: dict[int, CostTable] = {}
+    for members in stacks.values():
+        stack = [costs[i] for i in members]
+        halves = stack[0]._halves(stack, lo_masks, hi_masks)
+        out = np.empty((len(stack), hi_masks.shape[1], lo_masks.shape[1]))
+        for rows, hi, lo in _blocks(*out.shape):
+            out[rows, hi, lo] = halves.block(rows, lo, hi)
+        for i, row in zip(members, out):
+            tables[i] = CostTable.from_costs(row.ravel(), n, k)
+    return [tables[i] for i in range(len(costs))]
 
 
 def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
@@ -190,31 +243,44 @@ def pushforward_weights(nu: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(nu.shape)
 
 
-def _pushforward_index(corr: Correspondence, n: int, k: int):
-    """index(hi, lo): for the block [hi, lo] of a table laid out as (hi, lo)
-    halves, the entries of a second table that hold the push-forwards of its
-    assignments."""
+def _pushforward_index(nus: np.ndarray, n: int, k: int):
+    """index(tables, hi, lo): for the block [tables, hi, lo] of a stack of
+    tables laid out as (hi, lo) halves, the entries of the flattened stack of
+    second tables that hold the push-forwards of its assignments, table t
+    pushed by nus[t] onto second table t."""
     h = _low_half(n)
-    w = pushforward_weights(corr.nu, k)
+    w = pushforward_weights(nus, k)
     hi_digits, _ = _half_labels(n - h, k)
     lo_digits = _half_labels(h, k)[0][::k]
+    size, (stack, b, a) = len(hi_digits) * len(lo_digits), (len(nus), len(hi_digits),
+                                                            len(lo_digits))
     # Shifting every label by -s is a relabeling; with s the label of
     # training object j0 = nu[0], which test object 0 inherits, it puts the
     # push-forward on the slice. Test object 0 is the only one whose weight
     # k^0 is not a multiple of k, so the half without j0 contributes a
-    # multiple of k at every shift, and the half with j0 does at its own s.
+    # multiple of k at every shift, and the half with j0 does at its own s:
+    # index = q_lo[t, s, lo] + q_hi[t, s, hi], one term fixed by the half
+    # with j0 and the other gathered at its s.
     shifts = np.arange(k)[:, None, None]
-    q_lo = ((lo_digits - shifts) % k) @ w[:h] // k
-    q_hi = ((hi_digits - shifts) % k) @ w[h:] // k
-    j0 = int(corr.nu[0])
-    if j0 < h:  # s follows the low-half assignment
-        s = lo_digits[:, j0]
-        own = q_lo[s, np.arange(len(s))]
-        other = np.ascontiguousarray(q_hi.T)
-        return lambda hi, lo: np.take(other[hi], s[lo], axis=1) + own[None, lo]
-    s = hi_digits[:, j0 - h]
-    own = q_hi[s, np.arange(len(s))]
-    return lambda hi, lo: q_lo[:, lo][s[hi]] + own[hi, None]
+    q_lo = (((lo_digits - shifts) % k) @ w[:, :h].T // k).transpose(2, 0, 1)
+    q_hi = (((hi_digits - shifts) % k) @ w[:, h:].T // k).transpose(2, 0, 1)
+    terms = np.concatenate([q_hi.ravel(), q_lo.ravel()])  # q_lo from stack * k * b on
+    # per table: the gathered term's index into `terms` and the fixed term,
+    # each the sum of a per-lo and a per-hi part
+    at_lo = np.tile(np.arange(a), (stack, 1))
+    at_hi = np.tile(np.arange(b), (stack, 1))
+    fixed_lo = np.zeros((stack, a), dtype=np.int64)
+    fixed_hi = np.repeat(np.arange(stack)[:, None] * size, b, axis=1)
+    low = np.flatnonzero(nus[:, 0] < h)  # s follows the low-half assignment
+    s = lo_digits[:, nus[low, 0]].T
+    at_lo[low] = (low[:, None] * k + s) * b
+    fixed_lo[low] = np.take_along_axis(q_lo[low], s[:, None], axis=1)[:, 0]
+    high = np.flatnonzero(nus[:, 0] >= h)  # s follows the high-half assignment
+    s = hi_digits[:, nus[high, 0] - h].T
+    at_hi[high] = stack * k * b + (high[:, None] * k + s) * a
+    fixed_hi[high] += np.take_along_axis(q_hi[high], s[:, None], axis=1)[:, 0]
+    return lambda t, hi, lo: (terms.take(at_lo[t, None, lo] + at_hi[t, hi, None])
+                              + (fixed_lo[t, None, lo] + fixed_hi[t, hi, None]))
 
 
 def check_gamma(gamma: float) -> None:
@@ -226,20 +292,14 @@ def check_gamma(gamma: float) -> None:
 
 def _stacked(tables: Sequence[CostTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(costs, r_min, rows) of equal-length tables: the distinct tables as the
-    rows of one array (a view of the table when there is one), and per given
-    table its row and its minimum."""
+    rows of one array (_rows), and per given table its row and its minimum."""
     slot: dict[int, int] = {}
     distinct: list[CostTable] = []
     for t in tables:
         if slot.setdefault(id(t), len(distinct)) == len(distinct):
             distinct.append(t)
     rows = np.array([slot[id(t)] for t in tables], dtype=np.intp)
-    if not distinct:
-        costs = np.empty((0, 1))
-    elif len(distinct) == 1:
-        costs = distinct[0].costs[None]
-    else:
-        costs = np.stack([t.costs for t in distinct])
+    costs = _rows(distinct) if distinct else np.empty((0, 1))
     return costs, np.array([t.r_min for t in tables], dtype=np.float64), rows
 
 
@@ -344,27 +404,27 @@ def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
     return float(log_z[0]), float(excess[0]), float(variance[0])
 
 
-def _by_halves(table: CostTable, values: np.ndarray) -> np.ndarray:
-    """Per-entry values of a table as a (hi, lo) matrix."""
-    return values.reshape(table.k ** (table.n - _low_half(table.n)), -1)
-
-
-def _check_pair(table1: CostTable, table2: CostTable) -> None:
-    if (table2.n, table2.k) != (table1.n, table1.k):
+def joint_cost_table(tables1: Sequence[CostTable], tables2: Sequence[CostTable],
+                     corrs: Sequence[Correspondence]) -> list[CostTable]:
+    """Combined costs R(c, X1) + R(pushforward(c), X2) of each pair
+    (tables1[i], tables2[i], corrs[i]) over the training assignments c of
+    tables1[i], in its encoding order, gathered from the stacked test tables
+    by one push-forward index; r_min is the joint minimum. All tables share
+    n and k."""
+    if not len(tables1) == len(tables2) == len(corrs):
+        raise ValueError("joint tables need one test table and correspondence per table")
+    if not tables1:
+        return []
+    n, k = tables1[0].n, tables1[0].k
+    if any((t.n, t.k) != (n, k) for t in (*tables1, *tables2)):
         raise ValueError("tables must share n and k")
-
-
-def joint_cost_table(table1: CostTable, table2: CostTable, corr: Correspondence) -> CostTable:
-    """Combined costs R(c, X1) + R(pushforward(c), X2) over the training
-    assignments c of table1, in its encoding order; r_min is the joint
-    minimum."""
-    _check_pair(table1, table2)
-    index = _pushforward_index(corr, table1.n, table1.k)
-    costs1 = _by_halves(table1, table1.costs)
+    index = _pushforward_index(np.stack([corr.nu for corr in corrs]), n, k)
+    costs1 = _rows(tables1).reshape(len(tables1), k ** (n - _low_half(n)), -1)
+    costs2 = _rows(tables2).ravel()
     out = np.empty(costs1.shape)
-    for hi, lo in _blocks(*out.shape):
-        out[hi, lo] = costs1[hi, lo] + table2.costs[index(hi, lo)]
-    return CostTable.from_costs(out.ravel(), table1.n, table1.k)
+    for t, hi, lo in _blocks(*out.shape):
+        out[t, hi, lo] = costs1[t, hi, lo] + costs2.take(index(t, hi, lo))
+    return [CostTable.from_costs(row.ravel(), n, k) for row in out]
 
 
 _NEWTON_TOL = 2.0**-50  # relative Newton step at which a calibration stops
@@ -373,18 +433,32 @@ _NEWTON_TOL = 2.0**-50  # relative Newton step at which a calibration stops
 class ExactTables:
     """The training, test and joint tables of one sample pair, with the beta
     calibration on the training table: the exact capacity curve, the point
-    queries and the channel bound all read one such set."""
+    queries and the channel bound all read one such set. `stack` builds the
+    sets of many pairs."""
 
-    def __init__(self, table1: CostTable, table2: CostTable, corr: Correspondence):
-        self.table1, self.table2 = table1, table2
-        self.joint = joint_cost_table(table1, table2, corr)
-        self.minimizer = Assignment(table1.minimizer_labels(), table1.k)
+    def __init__(self, table1: CostTable, table2: CostTable, joint: CostTable):
+        self.table1, self.table2, self.joint = table1, table2, joint
+
+    @classmethod
+    def stack(cls, tables1: Sequence[CostTable], tables2: Sequence[CostTable],
+              corrs: Sequence[Correspondence]) -> list["ExactTables"]:
+        """The sets of the pairs (tables1[i], tables2[i], corrs[i]): their
+        joint tables from one stacked gather, and their training minimizers
+        from one search of the tied minima's relabeling orbits."""
+        joints = joint_cost_table(tables1, tables2, corrs)
+        _cache_argmins(tables1)
+        return [cls(*tables) for tables in zip(tables1, tables2, joints)]
 
     @classmethod
     def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
                   budget: int = DEFAULT_BUDGET) -> "ExactTables":
-        return cls(enumerate_costs(cost1, budget=budget),
-                   enumerate_costs(cost2, budget=budget), corr)
+        (tables,) = cls.stack(*([t] for t in enumerate_costs(cost1, cost2, budget=budget)),
+                              [corr])
+        return tables
+
+    @property
+    def minimizer(self) -> Assignment:
+        return Assignment(self.table1.minimizer_labels(), self.table1.k)
 
     @functools.cached_property
     def span(self) -> float:
@@ -394,16 +468,10 @@ class ExactTables:
 
     @functools.cached_property
     def resolution(self) -> float:
-        """The smallest gamma beta_for_gamma resolves: calibrating below the
+        """The smallest gamma calibrate_betas resolves: calibrating below the
         costs' rounding noise would need a beta so large that the
         log-partitions lose all precision."""
         return COST_RESOLUTION * (abs(self.table1.r_min) + self.span)
-
-    def beta_for_gamma(self, target: float) -> float:
-        """Smallest beta, to relative precision _NEWTON_TOL, whose mean-cost
-        excess is <= target (a target below the resolution counts as the
-        resolution); 0 once target reaches the span. See _newton_search."""
-        return calibrate_betas([self], [target])[0]
 
     def auto_grid(self, points: int) -> tuple[float, ...]:
         """Geometric beta grid spanning mean-cost excess from ~90% down to
@@ -473,12 +541,14 @@ def _newton_search(target: float, span: float, resolution: float):
 
 
 def calibrate_betas(tables: Sequence[ExactTables], targets: Sequence[float]) -> list[float]:
-    """tables[i].beta_for_gamma(targets[i]) for every i, the searches
-    advanced in lock-step: each step evaluates the moments that every
-    unfinished search needs in one stacked pass over the distinct training
-    tables. Each search sees exactly the values it sees alone, so each beta
-    is bit for bit the one it gets alone. Every target is checked before any
-    pass."""
+    """For every i, the smallest beta, to relative precision _NEWTON_TOL,
+    whose mean-cost excess on tables[i]'s training table is <= targets[i] (a
+    target below the resolution counts as the resolution); 0 once the target
+    reaches the span. See _newton_search. The searches advance in lock-step:
+    each step evaluates the moments that every unfinished search needs in
+    one stacked pass over the distinct training tables. Each search sees
+    exactly the values it sees alone, so each beta is bit for bit the one it
+    gets alone. Every target is checked before any pass."""
     if len(tables) != len(targets):
         raise ValueError(f"{len(targets)} targets for {len(tables)} tables")
     for target in targets:

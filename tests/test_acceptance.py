@@ -55,8 +55,8 @@ def test_criterion_1_oracle_equivalence_partition_functions():
             grid = default_beta_grid(c1, points=16, seed=0)
             cfg = CapacityConfig(beta_grid=grid, sweeps_burnin=40, sweeps_measure=200,
                                  chains=3, seed=11)
-            table1 = enumerate_costs(c1)
-            joint_table = joint_cost_table(table1, enumerate_costs(c2), corr)
+            table1, table2 = enumerate_costs(c1, c2)
+            (joint_table,) = joint_cost_table([table1], [table2], [corr])
             curve, joint = thermo_integrate([c1, JointCost(c1, c2, corr)], cfg)
             err_z = max(abs(curve.log_z[i] - exact_log_partition(table1, b))
                         for i, b in enumerate(grid))
@@ -121,7 +121,7 @@ def test_criterion_4_monotonicity_suite():
     checked = 0
     for seed in range(5):
         x1, x2 = instance(seed, sigma=float(rng.uniform(0.5, 1.5)))
-        table = enumerate_costs(KMeansCost(x1, 2))
+        (table,) = enumerate_costs(KMeansCost(x1, 2))
         gammas = np.linspace(0.0, float(table.costs.max() - table.r_min) * 1.1, 25)
         sizes = [set_size(table, g) for g in gammas]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
@@ -246,8 +246,8 @@ def test_criterion_8_intersection_bounds():
         x1, x2 = instance(seed, sigma=1.0)
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        t1, t2 = enumerate_costs(c1), enumerate_costs(c2)
-        joint = joint_cost_table(t1, t2, corr)
+        t1, t2 = enumerate_costs(c1, c2)
+        joint = joint_cost_table([t1], [t2], [corr])[0]
         span = float(t1.costs.max() - t1.r_min)
         for gamma in np.linspace(0.0, span, 12):
             assert decoded_intersection(t1, t2, corr, gamma) <= set_size(t1, gamma)

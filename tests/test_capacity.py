@@ -27,7 +27,7 @@ from ascoding.core import (
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import ExactTables, enumerate_costs, exact_moments
+from ascoding.exact import ExactTables, calibrate_betas, enumerate_costs, exact_moments
 from ascoding.rng import derive_seed
 from ascoding.thermo import FreeEnergyCurve
 
@@ -70,7 +70,7 @@ class TestBetaZeroIdentity:
         x1, x2 = pair_n8
         curve = capacity_curve(x1, x2, "kmeans", 2, engine="exact",
                                cfg=CapacityConfig(nsigma="asymptotic", beta_grid=(0.0,)))
-        minimizer = enumerate_costs(KMeansCost(x1, 2)).minimizer_labels()
+        minimizer = enumerate_costs(KMeansCost(x1, 2))[0].minimizer_labels()
         h = type_entropy(type_distribution(Assignment(minimizer, 2)))
         assert curve.points[0].info == pytest.approx(h - math.log(2), abs=1e-9)
 
@@ -267,7 +267,7 @@ def exact_tables(x1, x2, family, k):
 def point_at_gamma(tables, gamma):
     """The exact capacity point at a calibrated gamma, as the channel bound
     reads it."""
-    (point,) = exact_points(tables, [tables.beta_for_gamma(gamma)], "multinomial")
+    (point,) = exact_points(tables, calibrate_betas([tables], [gamma]), "multinomial")
     return point
 
 
@@ -297,7 +297,7 @@ class TestExactPointAtGamma:
                 lo = mid
             else:
                 hi = mid
-        beta = eng.beta_for_gamma(target)
+        beta = calibrate_betas([eng], [target])[0]
         assert beta == pytest.approx(hi, rel=1e-12, abs=0.0)
         assert gamma(beta) <= target
 
@@ -305,7 +305,7 @@ class TestExactPointAtGamma:
         eng = exact_tables(*pair_n8, "kmeans", 2)
         for gamma in (math.nan, -1.0):
             with pytest.raises(ValueError, match="gamma"):
-                eng.beta_for_gamma(gamma)
+                calibrate_betas([eng], [gamma])
 
     @staticmethod
     def _tied_trial(seed, trial, separation, sigma):
@@ -326,7 +326,7 @@ class TestExactPointAtGamma:
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
         # gamma = 0 is defined as the resolution floor, not a beta -> inf limit
-        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
+        assert calibrate_betas([eng], [0.0])[0] == calibrate_betas([eng], [eng.resolution])[0]
 
     def test_gamma_zero_with_tied_minima_at_a_large_cost_scale(self):
         # r_min = 23472.6: the tied minima's mean once rounded a few ulps,
@@ -335,7 +335,7 @@ class TestExactPointAtGamma:
         pt = point_at_gamma(eng, 0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
-        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
+        assert calibrate_betas([eng], [0.0])[0] == calibrate_betas([eng], [eng.resolution])[0]
 
     def test_gamma_zero_ignores_rounding_level_near_ties(self):
         # at k = 3 the slice keeps two relabelings of each partition, whose
@@ -348,7 +348,7 @@ class TestExactPointAtGamma:
         pt = point_at_gamma(eng, 0.0)
         assert pt.beta < 100.0
         assert pt.info == pytest.approx(point_at_gamma(eng, 1e-6).info, abs=1e-6)
-        assert eng.beta_for_gamma(0.0) == eng.beta_for_gamma(eng.resolution)
+        assert calibrate_betas([eng], [0.0])[0] == calibrate_betas([eng], [eng.resolution])[0]
 
 
 class TestExactEngineWork:

@@ -282,17 +282,28 @@ class TestErrorPaths:
         assert rc == 4
         assert not (tmp_path / "x" / "summary.json").exists()
 
-    # the coordinates are finite, but their squares overflow: costs are inf or nan
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the coordinates are finite, but their squares overflow: the data are
+    # rejected before any cost or distance is computed, with no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_costs_exit_2(self, tmp_path, capsys):
-        assert run("gen", "--n", 8, "--k-true", 2, "--sep", "6e200", "--sigma", "1e200",
-                   "--balanced", "--seed", 1, "--out", tmp_path / "data") == 0
-        rc = run("capacity", "--train", tmp_path / "data" / "train.csv",
-                 "--test", tmp_path / "data" / "test.csv", "--k", 2, "--engine", "exact",
-                 "--out", tmp_path / "x")
-        assert rc == 2
-        assert "scale" in capsys.readouterr().err
-        assert not (tmp_path / "x" / "summary.json").exists()
+        scale = ("--sep", "6e200", "--sigma", "1e200", "--balanced")
+        assert run("gen", "--n", 8, "--k-true", 2, *scale, "--seed", 1,
+                   "--out", tmp_path / "data") == 0
+        capsys.readouterr()
+        for cost in ("kmeans", "pairwise"):
+            rc = run("capacity", "--train", tmp_path / "data" / "train.csv",
+                     "--test", tmp_path / "data" / "test.csv", "--cost", cost, "--k", 2,
+                     "--engine", "exact", "--out", tmp_path / "x")
+            assert rc == 2
+            assert "data's scale" in capsys.readouterr().err
+            assert not (tmp_path / "x" / "summary.json").exists()
+            rc = run("simulate", "--n", 8, "--k-true", 2, *scale, "--cost", cost, "--k", 2,
+                     "--gammas", "0,1", "--codebook-sizes", 2, "--trials", 3, "--seed", 1,
+                     "--out", tmp_path / "sim")
+            assert rc == 2
+            assert "data's scale" in capsys.readouterr().err
+            assert not (tmp_path / "sim" / "summary.json").exists()
+            assert not (tmp_path / "sim" / "trials.csv").exists()
 
     @pytest.mark.parametrize("grid", ["0,nan", "0,inf"])
     def test_non_finite_beta_grid_exit_2(self, dataset_dir, tmp_path, grid):

@@ -20,7 +20,13 @@ from ascoding.core import Dataset, build_correspondence
 from ascoding.costs import DEFAULT_BUDGET
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import GAMMA_SLACK, ExactTables, decode_indices, enumerate_costs
+from ascoding.exact import (
+    GAMMA_SLACK,
+    ExactTables,
+    calibrate_betas,
+    decode_indices,
+    enumerate_costs,
+)
 from ascoding.rng import derive_rng, derive_seed
 from conftest import permute_dataset
 
@@ -109,8 +115,8 @@ class TestPermuteDataset:
 def decoder_scores(codebook, sent, train, test, family, k, gamma, budget=DEFAULT_BUDGET):
     """Overlap scores of one channel use, from the calls error_rate_grid
     makes: the training and test tables, then one scoring gather."""
-    table1, table2 = (enumerate_costs(make_cost(family, x, k), budget=budget)
-                      for x in (train, test))
+    table1, table2 = enumerate_costs(*(make_cost(family, x, k) for x in (train, test)),
+                                     budget=budget)
     codewords = comms._codeword_weights(codebook, sent, build_correspondence(train, test), k)
     return comms._overlap_scores(table1, table2, codewords, [gamma])[:, 0]
 
@@ -182,8 +188,8 @@ class TestTransmitAndDecode:
         codebook, sent, train, test, family, k = use
         received = permute_dataset(test, codebook.sigmas[sent])
         gaps = np.unique(np.concatenate([
-            (t.costs - t.r_min) for t in (enumerate_costs(make_cost(family, train, k)),
-                                          enumerate_costs(make_cost(family, received, k)))]))
+            (t.costs - t.r_min) for t in (enumerate_costs(make_cost(family, train, k))[0],
+                                          enumerate_costs(make_cost(family, received, k))[0])]))
         # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
         for gamma in (*gaps[:4], gaps[-1], math.inf):
             scores = decoder_scores(codebook, sent, train, test, family, k, gamma)
@@ -336,7 +342,7 @@ def per_cell_reference(codebooks, spec, family, k, gammas, trials, seed, compute
                     tables = ExactTables.enumerate(make_cost(family, x1, k),
                                                    make_cost(family, x2, k),
                                                    build_correspondence(x1, x2))
-                    (pt,) = exact_points(tables, [tables.beta_for_gamma(gamma)], "multinomial")
+                    (pt,) = exact_points(tables, calibrate_betas([tables], [gamma]), "multinomial")
                     bounds.append(error_bound(pt.info, cb.rate_bits, spec.n))
             lo, hi = wilson_interval(errors, trials)
             row.append((tuple(rows), errors, lo, hi,
@@ -374,7 +380,7 @@ class TestErrorRateGrid:
         if gammas == "gaps":
             pair = draw_paired_samples(replace(spec, seed=derive_seed(4, 0, 0)))[:2]
             gaps = np.unique(np.concatenate([
-                t.costs - t.r_min for t in (enumerate_costs(make_cost(family, x, k))
+                t.costs - t.r_min for t in (enumerate_costs(make_cost(family, x, k))[0]
                                             for x in pair)]))
             gammas = tuple(gaps[[2, 0, 1, 3, -1]].tolist())
         codebooks = [generate_codebook(n, math.log2(m) / n, seed=2) for m in sizes]
@@ -424,27 +430,40 @@ class TestErrorRateGrid:
 
     @pytest.mark.parametrize("compute_bound", [False, True])
     def test_two_tables_and_one_gather_per_trial(self, monkeypatch, compute_bound):
-        # the criterion-5 grid: each trial enumerates its training and test
-        # tables and scores every (codebook, gamma) cell with one gather
-        counts = {"enumerate": 0, "gather": 0}
-        enumerate_, gather = comms.enumerate_costs, comms._level_counts
+        # the criterion-5 grid, one group of 40 trials: one enumeration call
+        # builds the group's 80 training and test tables, one gather per
+        # trial scores every (codebook, gamma) cell, and each trial draws its
+        # three codebooks' messages from one generator; with the bound, one
+        # joint gather and one orbit search serve the whole group
+        import ascoding.exact as ex
 
-        def counted_enumerate(*args, **kwargs):
-            counts["enumerate"] += 1
-            return enumerate_(*args, **kwargs)
+        counts = {"enumerate": 0, "tables": 0, "gather": 0, "generators": 0, "joint": 0,
+                  "orbits": 0}
 
-        def counted_gather(*args):
-            counts["gather"] += 1
-            return gather(*args)
+        def counted(module, name, key, tables=None):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(comms, "enumerate_costs", counted_enumerate)
-        monkeypatch.setattr(comms, "_level_counts", counted_gather)
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                if tables:
+                    counts[tables] += len(args)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
         spec = MixtureSpec(n=8, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
                            seed=0, balanced=True)
         codebooks = [generate_codebook(8, math.log2(m) / 8, seed=0) for m in (2, 4, 8)]
+        counted(comms, "enumerate_costs", "enumerate", tables="tables")
+        counted(comms, "_level_counts", "gather")
+        counted(comms, "derive_rng", "generators")
+        counted(ex, "joint_cost_table", "joint")
+        counted(ex, "_lowest_in_orbit", "orbits")
+        assert comms._GROUP // 2**7 >= 40
         error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
                         seed=0, compute_bound=compute_bound)
-        assert counts == {"enumerate": 2 * 40, "gather": 40}
+        assert counts == {"enumerate": 1, "tables": 2 * 40, "gather": 40, "generators": 40,
+                          "joint": int(compute_bound), "orbits": int(compute_bound)}
 
     def test_budget_overflow_raises(self):
         spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
@@ -478,4 +497,4 @@ class TestErrorRateGrid:
         tables = ExactTables.enumerate(make_cost("kmeans", x1, 2), make_cost("kmeans", x2, 2),
                                        build_correspondence(x1, x2))
         with pytest.raises(ValueError, match="gamma"):
-            tables.beta_for_gamma(math.nan)
+            calibrate_betas([tables], [math.nan])

@@ -56,7 +56,8 @@ def mean_cost(table, beta):
 
 def joint_log_partition(table1, cost2, corr, beta):
     """log dZ(beta) of the joint table of table1 and cost2's table."""
-    return exact_log_partition(joint_cost_table(table1, enumerate_costs(cost2), corr), beta)
+    (joint,) = joint_cost_table([table1], enumerate_costs(cost2), [corr])
+    return exact_log_partition(joint, beta)
 
 
 def all_assignments(n, k):
@@ -72,7 +73,7 @@ def all_assignments(n, k):
 
 @pytest.fixture(scope="module")
 def three_point_table():
-    return enumerate_costs(KMeansCost(vecs([0.0], [1.0], [4.0]), 2))
+    return enumerate_costs(KMeansCost(vecs([0.0], [1.0], [4.0]), 2))[0]
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ def gaussian_pair():
 class TestEnumerate:
     def test_shapes(self):
         cost = KMeansCost(vecs([0.0]), 2)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         assert np.array_equal(table.costs, reference_table(cost).costs[::2])
 
     def test_three_points(self, three_point_table):
@@ -99,7 +100,7 @@ class TestEnumerate:
         assert three_point_table.costs.tolist() == pytest.approx(full[::2])
 
     def test_constant_zero_cost(self):
-        table = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
+        (table,) = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
         assert np.all(table.costs == 0.0) and table.r_min == 0.0
 
     def test_budget(self):
@@ -162,7 +163,7 @@ class TestLogPartition:
         assert exact_log_partition(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
 
     def test_constant_zero(self):
-        table = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
+        (table,) = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
         for beta in (0.0, 1.0, 100.0):
             assert exact_log_partition(table, beta) == pytest.approx(3 * math.log(2))
 
@@ -223,7 +224,7 @@ class TestJointPartition:
         x1, x2 = gaussian_pair
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        table1 = enumerate_costs(c1)
+        (table1,) = enumerate_costs(c1)
         beta = 0.7
         # independent double-evaluation summation over all 2^6 assignments
         direct = math.log(sum(
@@ -237,7 +238,7 @@ class TestJointPartition:
         x1, x2 = gaussian_pair
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        table1 = enumerate_costs(c1)
+        (table1,) = enumerate_costs(c1)
         for beta in (0.1, 0.6, 2.0, 5.0):
             assert (
                 joint_log_partition(table1, c2, corr, beta)
@@ -254,8 +255,8 @@ class TestSetIntersection:
 
     def test_unstable_minimizer_misses(self):
         train, test = vecs([0.0], [10.0]), vecs([4.9], [5.0])
-        t1 = enumerate_costs(KMeansCost(train, 2))
-        t2 = enumerate_costs(KMeansCost(test, 2))
+        (t1,) = enumerate_costs(KMeansCost(train, 2))
+        (t2,) = enumerate_costs(KMeansCost(test, 2))
         corr = build_correspondence(train, test)
         assert decoded_intersection(t1, t2, corr, 0.0) == 0
 
@@ -263,7 +264,7 @@ class TestSetIntersection:
         x1, x2 = gaussian_pair
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        t1, t2 = enumerate_costs(c1), enumerate_costs(c2)
+        t1, t2 = enumerate_costs(c1, c2)
         for gamma in (0.0, 0.5, 2.0, 8.0):
             direct = sum(
                 1
@@ -275,8 +276,8 @@ class TestSetIntersection:
 
     def test_bounded_by_training_set_size(self, gaussian_pair):
         x1, x2 = gaussian_pair
-        t1 = enumerate_costs(KMeansCost(x1, 2))
-        t2 = enumerate_costs(KMeansCost(x2, 2))
+        (t1,) = enumerate_costs(KMeansCost(x1, 2))
+        (t2,) = enumerate_costs(KMeansCost(x2, 2))
         corr = build_correspondence(x1, x2)
         for gamma in np.linspace(0, 10, 15):
             assert decoded_intersection(t1, t2, corr, gamma) <= set_size(t1, gamma)
@@ -373,7 +374,7 @@ class TestSplitHalfAgainstReference:
     def test_tables_match_reference(self, inst):
         cost1, cost2, nu, integral, scale = inst
         for cost in (cost1, cost2):
-            new, ref = enumerate_costs(cost), reference_table(cost)
+            new, ref = enumerate_costs(cost)[0], reference_table(cost)
             k = cost.k
             assert np.abs(new.costs - ref.costs[::k]).max() <= 1e-12 * scale
             assert ref.costs[new.argmin_index] <= ref.r_min + 2e-12 * scale
@@ -389,9 +390,9 @@ class TestSplitHalfAgainstReference:
     @given(inst=instances())
     def test_joint_and_intersection_match_decoded_pushforward(self, inst):
         cost1, cost2, nu, _, _ = inst
-        t1, t2 = enumerate_costs(cost1), enumerate_costs(cost2)
+        t1, t2 = enumerate_costs(cost1, cost2)
         corr = Correspondence(nu=nu, n=cost1.n)
-        joint = joint_cost_table(t1, t2, corr)
+        joint = joint_cost_table([t1], [t2], [corr])[0]
         assert np.array_equal(joint.costs, reference_joint(t1, t2, nu))
         assert joint.r_min == joint.costs.min()
         # gamma exactly at cost gaps puts members on the GAMMA_SLACK boundary
@@ -404,7 +405,7 @@ class TestSplitHalfAgainstReference:
         for n, k in ((1, 1), (1, 3), (2, 4), (3, 4)):
             x = vecs(*[[float(i)] for i in range(n)])
             cost = KMeansCost(x, k)
-            assert np.array_equal(enumerate_costs(cost).costs, reference_table(cost).costs[::k])
+            assert np.array_equal(enumerate_costs(cost)[0].costs, reference_table(cost).costs[::k])
 
     def test_blocks_tile_large_halves(self, monkeypatch):
         # halves wider than one block exercise the tiling along both axes
@@ -416,10 +417,10 @@ class TestSplitHalfAgainstReference:
                                                     separation=3.0, seed=5))
         for cost in (KMeansCost(x1, 3), PairwiseCost(dissimilarity_from_vectors(x1), 2)):
             ref = reference_table(cost).costs[:: cost.k]
-            assert np.abs(enumerate_costs(cost).costs - ref).max() < 1e-9
-        t1, t2 = enumerate_costs(KMeansCost(x1, 2)), enumerate_costs(KMeansCost(x2, 2))
+            assert np.abs(enumerate_costs(cost)[0].costs - ref).max() < 1e-9
+        t1, t2 = enumerate_costs(KMeansCost(x1, 2), KMeansCost(x2, 2))
         corr = build_correspondence(x1, x2)
-        assert np.array_equal(joint_cost_table(t1, t2, corr).costs,
+        assert np.array_equal(joint_cost_table([t1], [t2], [corr])[0].costs,
                               reference_joint(t1, t2, corr.nu))
         assert decoded_intersection(t1, t2, corr, 3.0) == \
             reference_intersection(t1, t2, corr.nu, 3.0)
@@ -478,7 +479,7 @@ class TestCanonicalSliceAgainstFull:
         assume(integral)
         corr = Correspondence(nu=nu, n=cost1.n)
         full1, full2 = reference_table(cost1), reference_table(cost2)
-        can1, can2 = enumerate_costs(cost1), enumerate_costs(cost2)
+        can1, can2 = enumerate_costs(cost1, cost2)
         gaps = np.unique(np.concatenate([full1.costs - full1.r_min, full2.costs - full2.r_min]))
         for gamma in (*gaps[:6], *gaps[-2:]):
             assert set_size(can1, gamma) == reference_size(full1, gamma)
@@ -491,7 +492,7 @@ class TestCanonicalSliceAgainstFull:
         # full index, the all-ones labeling
         for x in (vecs(*[[float(i)] for i in range(n)]), vecs(*[[0.0]] * n)):
             full = reference_table(KMeansCost(x, k))
-            can = enumerate_costs(KMeansCost(x, k))
+            (can,) = enumerate_costs(KMeansCost(x, k))
             assert np.array_equal(can.costs, full.costs[::k])
             assert can.argmin_index == full.argmin_index
             assert can.k * can.costs.size == full.costs.size
@@ -654,7 +655,7 @@ class TestLockStepCalibration:
         wanted = [g for ts in targets for g in ts] + targets[0][:1]
         got = calibrate_betas(stack, wanted)
         assert got == [one_table_beta(t.table1, g) for t, g in zip(stack, wanted)]
-        assert got == [t.beta_for_gamma(g) for t, g in zip(stack, wanted)]
+        assert got == [calibrate_betas([t], [g])[0] for t, g in zip(stack, wanted)]
         assert [t.span for t in tables] == [one_table_moments(t.table1, 0.0)[1] for t in tables]
         if case == "duplicates-and-flat":
             assert tables[-1].span == 0.0 and set(got[-len(targets[-1]) - 1 : -1]) == {0.0}
@@ -678,3 +679,122 @@ class TestLockStepCalibration:
         for bad in (math.nan, -0.5):
             with pytest.raises(ValueError, match="gamma"):
                 calibrate_betas(tables * 2, [1.0, 0.5, bad, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# stacked set-up: enumeration, joint tables and minimizers against a loop
+# over single tables
+# ---------------------------------------------------------------------------
+
+def trial_costs(family, k, n, trials, sigma=1.0, sep=6.0, d=2, k_true=2):
+    """Training and test costs of simulate's paired draws for `trials`."""
+    out = []
+    for t in trials:
+        spec = MixtureSpec(n=n, d=d, k_true=k_true, noise_sigma=sigma, separation=sep,
+                           seed=derive_seed(0, t, 0), balanced=n % k_true == 0)
+        x1, x2, _ = draw_paired_samples(spec)
+        if family == "pairwise":
+            x1, x2 = dissimilarity_from_vectors(x1), dissimilarity_from_vectors(x2)
+        cost = KMeansCost if family == "kmeans" else PairwiseCost
+        out.append((cost(x1, k), cost(x2, k)))
+    return out
+
+
+def tie_stack(family, k, n):
+    """Costs whose tables tie: random draws, duplicate points (sigma = 0)
+    and a flat table (sigma = 0 and sep = 0, every point equal)."""
+    costs = [c for pair in trial_costs(family, k, n, range(3)) for c in pair]
+    costs += [c for pair in trial_costs(family, k, n, [3], sigma=0.0) for c in pair]
+    costs += [trial_costs(family, k, n, [4], sigma=0.0, sep=0.0)[0][0]]
+    return costs
+
+
+class TestStackedSetUp:
+    @pytest.mark.parametrize("family", ["kmeans", "pairwise"])
+    @pytest.mark.parametrize("k, n, tile", [
+        (2, 8, None), (3, 6, None),
+        (2, 8, 512),  # four 128-entry tables per numpy call: a stack over three calls
+        (3, 6, 64),  # 243-entry tables, each built alone in tiles
+    ])
+    def test_enumeration_equals_each_cost_alone(self, monkeypatch, family, k, n, tile):
+        if tile is not None:
+            monkeypatch.setattr(ex, "_TILE", tile)
+        costs = tie_stack(family, k, n)
+        stacked = enumerate_costs(*costs)
+        assert np.ptp(stacked[-1].costs) == 0.0  # the flat table
+        for cost, table in zip(costs, stacked):
+            (alone,) = enumerate_costs(cost)
+            assert np.array_equal(table.costs, alone.costs)
+            assert table.r_min == alone.r_min
+            assert np.abs(alone.costs - reference_table(cost).costs[::k]).max() < 1e-9
+
+    def test_enumeration_stacks_each_data_shape_apart(self):
+        # costs of two families and two dimensions in one call: each family
+        # and shape stacks on its own, and the tables keep the call's order
+        x3 = draw_paired_samples(MixtureSpec(n=6, d=3, k_true=2, noise_sigma=1.0,
+                                             separation=6.0, seed=1))[0]
+        costs = [*trial_costs("kmeans", 2, 6, [0])[0], KMeansCost(x3, 2),
+                 *trial_costs("pairwise", 2, 6, [1])[0]]
+        for cost, table in zip(costs, enumerate_costs(*costs)):
+            assert np.array_equal(table.costs, enumerate_costs(cost)[0].costs)
+
+    @pytest.mark.parametrize("k, n, tile", [(2, 8, None), (3, 6, None), (2, 9, None),
+                                            (2, 8, 32), (3, 6, 16)])
+    def test_joint_tables_equal_each_pair_alone(self, monkeypatch, k, n, tile):
+        # random correspondences put the anchor nu[0] in either half
+        if tile is not None:
+            monkeypatch.setattr(ex, "_TILE", tile)
+        pairs = trial_costs("kmeans", k, n, range(6))
+        tables = enumerate_costs(*(c for pair in pairs for c in pair))
+        tables1, tables2 = tables[::2], tables[1::2]
+        rng = np.random.default_rng(n * 10 + k)
+        corrs = [Correspondence(nu=rng.integers(0, n, n), n=n) for _ in pairs]
+        corrs[0] = Correspondence(nu=np.r_[n - 1, rng.integers(0, n, n - 1)], n=n)
+        corrs[1] = Correspondence(nu=np.r_[0, rng.integers(0, n, n - 1)], n=n)
+        assert {int(c.nu[0]) < n // 2 for c in corrs} == {True, False}
+        joints = joint_cost_table(tables1, tables2, corrs)
+        for t1, t2, corr, joint in zip(tables1, tables2, corrs, joints):
+            (alone,) = joint_cost_table([t1], [t2], [corr])
+            assert np.array_equal(joint.costs, alone.costs) and joint.r_min == alone.r_min
+            assert np.array_equal(joint.costs, reference_joint(t1, t2, corr.nu))
+
+    @pytest.mark.parametrize("family, k, n", [("kmeans", 2, 8), ("pairwise", 2, 8),
+                                              ("kmeans", 3, 6), ("pairwise", 3, 6)])
+    @pytest.mark.parametrize("block", [None, 8])  # the group's ties in several chunks
+    def test_minimizers_equal_each_table_alone(self, monkeypatch, family, k, n, block):
+        if block is not None:
+            monkeypatch.setattr(ex, "_BLOCK", block)
+        costs = tie_stack(family, k, n)
+        calls = []
+        orbits = ex._lowest_in_orbit
+
+        def counted(indices, *args):
+            calls.append(indices.size)
+            return orbits(indices, *args)
+
+        monkeypatch.setattr(ex, "_lowest_in_orbit", counted)
+        tables = enumerate_costs(*costs)
+        corrs = [Correspondence(nu=np.arange(n), n=n)] * len(tables)
+        sets = ExactTables.stack(tables, tables[::-1], corrs)
+        ties = [int((t.costs == t.r_min).sum()) for t in tables]
+        assert max(ties) > 1  # tied minima beyond the relabelings the slice removes
+        assert calls == ([sum(ties)] if block is None else
+                         [min(block, sum(ties) - i) for i in range(0, sum(ties), block)])
+        for cost, tables_ in zip(costs, sets):
+            (alone,) = enumerate_costs(cost)  # a fresh table, its argmin found alone
+            tied = np.flatnonzero(alone.costs == alone.r_min) * k
+            lowest = int(min(orbits(tied[i : i + 8], n, k).min() for i in range(0, tied.size, 8)))
+            assert tables_.table1.argmin_index == alone.argmin_index == lowest
+            assert np.array_equal(tables_.minimizer.labels, alone.minimizer_labels())
+
+    def test_budget_error_before_any_stacked_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("stacked work ran")
+
+        monkeypatch.setattr(KMeansCost, "_halves", no_work)
+        monkeypatch.setattr(ex, "_half_labels", no_work)
+        costs = [c for pair in trial_costs("kmeans", 2, 8, range(3)) for c in pair]
+        with pytest.raises(BudgetError):
+            enumerate_costs(*costs, budget=2**8 - 1)
+        with pytest.raises(ValueError, match="share n and k"):
+            enumerate_costs(*costs, KMeansCost(vecs([0.0], [1.0]), 2))

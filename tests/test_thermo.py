@@ -95,7 +95,7 @@ class TestGibbsSweep:
         cost = KMeansCost(data, 2)
         beta = 1.7
         costs = cost.evaluate_batch(decode_indices(np.arange(4), 2, 2))  # all four states
-        assert np.array_equal(enumerate_costs(cost).costs, costs[::2])
+        assert np.array_equal(enumerate_costs(cost)[0].costs, costs[::2])
         weights = np.exp(-beta * costs)
         target = weights / weights.sum()
         rng = derive_rng(3)
@@ -120,7 +120,7 @@ class TestEstimateMeanCost:
     def test_beta_zero_matches_uniform_mean(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         cfg = CapacityConfig(beta_grid=(0.0, 1.0), sweeps_burnin=10, sweeps_measure=400,
                              chains=4, seed=1)
         curve = integrate(cost, cfg)
@@ -130,7 +130,7 @@ class TestEstimateMeanCost:
     def test_matches_exact_oracle_mid_beta(self, instance):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         beta = 0.2
         cfg = CapacityConfig(beta_grid=(0.0, beta), sweeps_burnin=100, sweeps_measure=600,
                              chains=4, seed=2)
@@ -178,7 +178,7 @@ class TestReplicaExchangeMeans:
         x1, _, _ = draw_paired_samples(spec)
         cost = KMeansCost(x1, k) if family == "kmeans" else \
             PairwiseCost(dissimilarity_from_vectors(x1), k)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         grid = default_beta_grid(cost, points=8, seed=seed)
         curve = integrate(cost, CapacityConfig(
             beta_grid=grid, sweeps_burnin=50, sweeps_measure=200, chains=32, seed=seed))
@@ -256,14 +256,14 @@ class TestThermoIntegration:
 
     def test_against_exact_oracle(self, instance, km_curve):
         x1, _ = instance
-        table = enumerate_costs(KMeansCost(x1, 2))
+        (table,) = enumerate_costs(KMeansCost(x1, 2))
         exact = np.array([exact_log_partition(table, b) for b in km_curve.betas])
         assert np.abs(km_curve.log_z - exact).max() <= 0.05 * 8
 
     def test_pairwise_against_exact_oracle(self, instance, cfg_for):
         x1, _ = instance
         cost = PairwiseCost(dissimilarity_from_vectors(x1), 2)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         curve = integrate(cost, cfg_for)
         exact = np.array([exact_log_partition(table, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
@@ -293,7 +293,7 @@ class TestJointIntegration:
     def test_identical_sample_collapse(self, instance, cfg_for):
         x1, _ = instance
         cost = KMeansCost(x1, 2)
-        table = enumerate_costs(cost)
+        (table,) = enumerate_costs(cost)
         curve = integrate(JointCost(cost, cost, Correspondence.identity(8)), cfg_for)
         exact = np.array([exact_log_partition(table, 2 * b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
@@ -309,7 +309,7 @@ class TestJointIntegration:
         x1, x2 = instance
         c1, c2 = KMeansCost(x1, 2), KMeansCost(x2, 2)
         corr = build_correspondence(x1, x2)
-        joint = joint_cost_table(enumerate_costs(c1), enumerate_costs(c2), corr)
+        (joint,) = joint_cost_table(*([t] for t in enumerate_costs(c1, c2)), [corr])
         curve = integrate(JointCost(c1, c2, corr), cfg_for)
         exact = np.array([exact_log_partition(joint, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
