@@ -31,24 +31,25 @@ inherits.
 
 A simulation over a grid of codebook sizes m and widths gamma draws each
 trial's sample pair once and shares it with every (m, gamma) cell: a trial
-builds its correspondence and its training and test tables, and scores
-every codeword of every codebook at every gamma with one gather; with the
+builds its correspondence and its training and test tables, and every
+codeword of every codebook is scored at every gamma on them; with the
 bound, its ExactTables reads the same two tables.
 Approximation sets nest in gamma, so each table entry gets a level, the
-number of sorted gammas at which it is not a member; the gather runs over
-the training members at the widest gamma, and a pair counts at the j-th
-sorted gamma iff both of its levels are <= j.
+number of sorted gammas at which it is not a member; the scoring gather
+runs over the training members at the widest gamma, and a pair counts at
+the j-th sorted gamma iff both of its levels are <= j.
 
 Trials run in groups whose training tables hold at most _GROUP entries
-together (at least one trial), and a group is enumerated, joined and
-minimized as one stack: one enumerate_costs call builds all its training
-and test tables, and with the bound one ExactTables.stack call builds its
-joint tables with one push-forward gather and its training minimizers
-with one orbit search. The group's beta calibrations, one per trial and
-gamma, advance in lock-step, and its points are evaluated together, so
-each pass over the exact tables serves the whole group (see
-exact.calibrate_betas). Every value is bit for bit the one a trial gives
-alone.
+together (at least one trial), and a group is enumerated, joined,
+minimized and decoded as one stack: one enumerate_costs call builds all
+its training and test tables, one gather over the members of all its
+trials scores every (trial, codebook, gamma) cell, and with the bound one
+ExactTables.stack call builds its joint tables with one push-forward
+gather and its training minimizers with one orbit search. The group's
+beta calibrations, one per trial and gamma, advance in lock-step, and its
+points are evaluated together, so each pass over the exact tables serves
+the whole group (see exact.calibrate_betas). Every value is bit for bit
+the one a trial gives alone.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .capacity import exact_points, make_cost
-from .core import Correspondence, build_correspondence
+from .core import build_correspondence
 from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
@@ -67,6 +68,7 @@ from .exact import (
     ExactTables,
     calibrate_betas,
     check_gamma,
+    decode_indices,
     enumerate_costs,
     pushforward_weights,
 )
@@ -84,7 +86,7 @@ __all__ = [
 
 DEFAULT_MAX_CODEBOOK = 4096
 _Z95 = 1.959963984540054
-_GATHER = 1 << 22  # entries of one scoring index matrix (32 MiB of int64)
+_GATHER = 1 << 18  # entries of one chunk's k scoring index matrices (2 MiB of int64)
 _GROUP = 1 << 15  # entries of the training tables of one group of trials
 
 
@@ -143,85 +145,90 @@ def generate_codebook(
     return Codebook(sigmas=np.vstack(rows), rate_bits=rate_bits, seed=seed)
 
 
-def _levels(table: CostTable, gammas: list[float]) -> np.ndarray:
-    """Per slice entry, at how many of the sorted gammas it is outside the
-    approximation set. The sets nest, so an entry is a member at the j-th
-    sorted gamma iff its level is <= j."""
-    level = np.zeros(table.costs.size, dtype=np.int64)
+def _levels(tables: list[CostTable], gammas: list[float]) -> np.ndarray:
+    """tables x slice entries: at how many of the sorted gammas each entry is
+    outside its table's approximation set (CostTable.threshold). The sets
+    nest, so an entry is a member at the j-th sorted gamma iff its level is
+    <= j."""
+    costs = np.stack([t.costs for t in tables])
+    level = np.zeros(costs.shape, dtype=np.int64)
     for gamma in gammas:
-        level += ~table.members(gamma)
+        level += costs > np.array([t.threshold(gamma) for t in tables])[:, None]
     return level
 
 
-def _shifted_member_digits(slots: np.ndarray, k: int, n: int) -> np.ndarray:
-    """k x slots x n: the label digits (0..k-1) of the given slice entries in
-    encoding order, every digit shifted by -s (mod k) in layer s. Built in
-    place, one object's digits at a time, so no temporary is larger than one
-    column."""
-    index = slots * k
-    shifted = np.empty((k, index.size, n), dtype=np.int64)
-    for i in range(n):
-        np.mod(index // k**i, k, out=shifted[0, :, i])
-    for s in range(1, k):
-        np.subtract(shifted[0], s, out=shifted[s])
-        shifted[s] %= k
-    return shifted
-
-
-def _codeword_weights(codebook: Codebook, sent: int, corr: Correspondence,
+def _codeword_weights(codebook: Codebook, sent: np.ndarray, nus: np.ndarray,
                       k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Test-table slice-index weights per codeword, and the anchor object
-    whose label test object 0 inherits. Received object i is test object
+    """Per trial, the test-table slice-index weights of every codeword
+    (trials x codewords x n) and the anchor object whose label test object 0
+    inherits (trials x codewords), for trials with sent codewords `sent` and
+    correspondences `nus` (trials x n). Received object i is test object
     sigma_s[i], to which codeword sigma carries training object nu[sigma[i]];
     so test object j inherits from training object nu[sigma[sigma_s^-1[j]]].
     Test object 0 adds k^0 to its anchor's push-forward weight and every
     other object a multiple of k, so w // k weighs objects 1..n-1 by their
     place in the slice index."""
-    sigmas = codebook.sigmas[:, np.argsort(codebook.sigmas[sent])]
-    nu = corr.nu[sigmas]
-    return pushforward_weights(nu, k) // k, nu[:, 0]
+    sigmas = codebook.sigmas[:, np.argsort(codebook.sigmas[sent], axis=1)].transpose(1, 0, 2)
+    nu = np.take_along_axis(nus[:, None, :], sigmas, axis=2)
+    return pushforward_weights(nu, k) // k, nu[..., 0]
 
 
-def _level_counts(shifted: np.ndarray, level1: np.ndarray, level2: np.ndarray,
-                  weights: np.ndarray, anchors: np.ndarray, ranks: int) -> np.ndarray:
-    """codewords x (ranks + 1): per codeword, how many training slice members
-    pair with a test entry at each level max(training level, test level of
-    the push-forward). The push-forward is shifted by minus the member's
-    label of the codeword's anchor object, onto the test slice."""
-    s = shifted[0][:, anchors]  # members x codewords
+def _level_counts(digits: np.ndarray, trial: np.ndarray, member_level: np.ndarray,
+                  level2: np.ndarray, codewords: tuple[np.ndarray, np.ndarray], k: int,
+                  ranks: int) -> np.ndarray:
+    """(trials * codewords * (ranks + 1)) counts: how many of the given
+    training slice members (label digits 0..k-1, trial and level of each, in
+    trial order) pair, under each codeword of their trial, with a test entry
+    at each level max(training level, test level of the push-forward). The
+    push-forward is shifted by minus the member's label of the codeword's
+    anchor object, onto the test slice; the k shifted digit rows of a
+    trial's members meet its codeword weights in one matrix product."""
+    weights, anchors = codewords
+    codes = weights.shape[1]
+    shifted = (digits - np.arange(k)[:, None, None]) % k  # k x members x n
+    index = np.empty((k, len(trial), codes), dtype=np.int64)
+    s = np.empty((len(trial), codes), dtype=np.int64)  # each member's label of each anchor
+    starts = np.flatnonzero(np.diff(trial, prepend=-1))
+    for first, stop in zip(starts.tolist(), [*starts[1:].tolist(), len(trial)]):
+        t = trial[first]
+        index[:, first:stop] = shifted[:, first:stop] @ weights[t].T
+        s[first:stop] = digits[first:stop, anchors[t]]
     s *= s.size
     s += np.arange(s.size).reshape(s.shape)
-    level = level2.take((shifted @ weights.T).take(s))  # from k x members x codewords
-    np.maximum(level, level1[:, None], out=level)
-    level += np.arange(len(weights)) * (ranks + 1)
-    return np.bincount(level.ravel(), minlength=len(weights) * (ranks + 1)).reshape(
-        len(weights), ranks + 1)
+    pushed = index.take(s)
+    pushed += trial[:, None] * level2.shape[1]
+    level = level2.take(pushed)
+    np.maximum(level, member_level[:, None], out=level)
+    level += trial[:, None] * (codes * (ranks + 1))
+    level += np.arange(codes) * (ranks + 1)
+    return np.bincount(level.ravel(), minlength=level2.shape[0] * codes * (ranks + 1))
 
 
-def _overlap_scores(table1: CostTable, table2: CostTable,
+def _overlap_scores(tables1: list[CostTable], tables2: list[CostTable],
                     codewords: tuple[np.ndarray, np.ndarray], gammas: list[float]) -> np.ndarray:
-    """codewords x gammas: for every codeword and gamma, how many training
-    assignments in the approximation set land in the test sample's when
-    pushed forward, k per slice member. A pair counts at the j-th sorted
-    gamma iff both of its levels are <= j, so one gather at the widest
-    gamma scores every gamma. Codewords are scored in groups whose k index
-    matrices have at most _GATHER entries; at desk sizes that is one
-    gather."""
+    """trials x codewords x gammas: for every trial (training table, test
+    table and codewords), codeword and gamma, how many training assignments
+    in the approximation set land in the test sample's when pushed forward,
+    k per slice member. A pair counts at the j-th sorted gamma iff both of
+    its levels are <= j, so one gather at the widest gamma scores every
+    gamma, and the members of all trials are gathered together, in chunks
+    whose k index matrices have at most _GATHER entries; at desk sizes that
+    is one gather."""
+    k, n = tables1[0].k, tables1[0].n
     order = np.argsort(gammas, kind="stable")
     ranked = [gammas[j] for j in order]
-    level1, level2 = _levels(table1, ranked), _levels(table2, ranked)
-    slots = np.flatnonzero(level1 < len(ranked))
-    shifted = _shifted_member_digits(slots, table1.k, table1.n)
-    weights, anchors = codewords
-    member_level = level1[slots]
-    step = max(1, _GATHER // max(1, table1.k * slots.size))
-    counts = np.concatenate([
-        _level_counts(shifted, member_level, level2, weights[i : i + step],
-                      anchors[i : i + step], len(ranked))
-        for i in range(0, len(weights), step)
-    ])
-    scores = np.empty((len(weights), len(ranked)), dtype=np.int64)
-    scores[:, order] = table1.k * np.cumsum(counts[:, :-1], axis=1)
+    level1, level2 = _levels(tables1, ranked), _levels(tables2, ranked)
+    trial, slots = np.nonzero(level1 < len(ranked))
+    digits = decode_indices(slots * k, n, k) - 1
+    member_level = level1[trial, slots]
+    trials, codes = codewords[0].shape[:2]
+    step = max(1, _GATHER // (k * codes))
+    counts = sum((_level_counts(digits[i : i + step], trial[i : i + step],
+                                member_level[i : i + step], level2, codewords, k, len(ranked))
+                  for i in range(0, len(slots), step)),
+                 np.zeros(trials * codes * (len(ranked) + 1), dtype=np.int64))
+    scores = np.empty((trials, codes, len(ranked)), dtype=np.int64)
+    scores[:, :, order] = k * np.cumsum(counts.reshape(trials, codes, -1)[:, :, :-1], axis=2)
     return scores
 
 
@@ -265,13 +272,18 @@ class ErrorRateResult:
     rows: tuple[TrialRow, ...]
 
 
-def _trial_row(trial: int, sent: int, scores: list[int]) -> TrialRow:
-    best = max(scores)
-    decoded = scores.index(best)
-    return TrialRow(
-        trial=trial, sent=sent, decoded=decoded, correct=decoded == sent, best_score=best,
-        second_score=max(scores[:decoded] + scores[decoded + 1 :], default=0),
-    )
+def _trial_rows(trials: range, sent: np.ndarray, scores: np.ndarray) -> list[list[TrialRow]]:
+    """Per gamma, the rows of `trials` decoded from scores (trials x
+    codewords x gammas): the first codeword with the best score, and the
+    best score of the others (0 without any; scores are counts)."""
+    decoded = scores.argmax(axis=1)
+    best = np.take_along_axis(scores, decoded[:, None], axis=1)[:, 0]
+    others = scores.copy()
+    np.put_along_axis(others, decoded[:, None], -1, axis=1)
+    second = np.maximum(others.max(axis=1), 0)
+    return [[TrialRow(trial=t, sent=s, decoded=d, correct=d == s, best_score=b, second_score=o)
+             for t, s, d, b, o in zip(trials, sent.tolist(), *columns)]
+            for columns in zip(decoded.T.tolist(), best.T.tolist(), second.T.tolist())]
 
 
 def _error_rate_result(rows: list[TrialRow], bounds: list[float]) -> ErrorRateResult:
@@ -303,8 +315,8 @@ def error_rate_grid(
 
     Trial t draws one paired sample from the generator, from streams keyed
     by (seed, t), and serves every cell; each codebook picks its uniform
-    message for trial t, and one gather on the trial's tables scores every
-    cell. With compute_bound=True the analytic bound is evaluated per trial
+    message for trial t from the stream (seed, t, 1), and one gather on the
+    tables of a group of trials scores all their cells. With compute_bound=True the analytic bound is evaluated per trial
     at each gamma on the trial's own sample pair (one beta calibration per
     trial and gamma, shared by all codebooks; a group of trials calibrates
     and evaluates its points together) and averaged: the bound holds in
@@ -331,21 +343,22 @@ def error_rate_grid(
         corrs = [build_correspondence(x1, x2) for x1, x2 in samples]
         tables = enumerate_costs(*costs, budget=budget)  # training tables, then test tables
         tables1, tables2 = tables[: len(ts)], tables[len(ts) :]
-        for t, table1, table2, corr in zip(ts, tables1, tables2, corrs):
-            # each codebook draws from the trial's stream from its start
+        # each codebook draws its message from the trial's stream at its start
+        sent = np.empty((len(ts), len(codebooks)), dtype=np.int64)
+        for i, t in enumerate(ts):
             rng = derive_rng(seed, t, 1)
             start = rng.bit_generator.state
-            sent = []
-            for cb in codebooks:
+            for b, cb in enumerate(codebooks):
                 rng.bit_generator.state = start
-                sent.append(int(rng.integers(cb.m)))
-            weights, anchors = zip(*(_codeword_weights(cb, s, corr, k)
-                                     for cb, s in zip(codebooks, sent)))
-            scores = _overlap_scores(table1, table2, (np.concatenate(weights),
-                                                      np.concatenate(anchors)), gammas)
-            for s, cb_scores, cb_rows in zip(sent, np.split(scores, ends), rows):
-                for scored, cell in zip(cb_scores.T.tolist(), cb_rows):
-                    cell.append(_trial_row(t, s, scored))
+                sent[i, b] = rng.integers(cb.m)
+        nus = np.stack([corr.nu for corr in corrs])
+        weights, anchors = zip(*(_codeword_weights(cb, sent[:, b], nus, k)
+                                 for b, cb in enumerate(codebooks)))
+        scores = _overlap_scores(tables1, tables2, (np.concatenate(weights, axis=1),
+                                                    np.concatenate(anchors, axis=1)), gammas)
+        for b, (cb_scores, cb_rows) in enumerate(zip(np.split(scores, ends, axis=1), rows)):
+            for cell, column in zip(cb_rows, _trial_rows(ts, sent[:, b], cb_scores)):
+                cell += column
         if compute_bound:  # the group's (trial, gamma) points, calibrated and evaluated together
             pairs = ExactTables.stack(tables1, tables2, corrs)
             per_point = [pair for pair in pairs for _ in gammas]

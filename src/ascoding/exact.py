@@ -135,12 +135,17 @@ class CostTable:
     def minimizer_labels(self) -> np.ndarray:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
 
-    def members(self, gamma: float) -> np.ndarray:
-        """Mask of the slice's gamma-approximation set: costs within gamma
-        of the minimum, with a small absolute slack on the threshold so
-        boundary members are not lost to summation noise."""
+    def threshold(self, gamma: float) -> float:
+        """The largest cost in the gamma-approximation set: gamma above the
+        minimum, with a small absolute slack so boundary members are not
+        lost to summation noise."""
         check_gamma(gamma)
-        return self.costs <= self.r_min + gamma + GAMMA_SLACK
+        return self.r_min + gamma + GAMMA_SLACK
+
+    def members(self, gamma: float) -> np.ndarray:
+        """Mask of the slice's gamma-approximation set: costs at or below
+        the threshold."""
+        return self.costs <= self.threshold(gamma)
 
 
 @functools.lru_cache(maxsize=16)

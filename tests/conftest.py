@@ -21,7 +21,7 @@ def decoded_intersection(table1, table2, corr, gamma):
     """The channel decoder's score of the sent identity codeword on the test
     table table2: the two-sample approximation-set intersection."""
     identity = comms.Codebook(sigmas=np.arange(table1.n)[None], rate_bits=0.0, seed=0)
-    ((score,),) = comms._overlap_scores(table1, table2,
-                                        comms._codeword_weights(identity, 0, corr, table1.k),
-                                        [gamma])
+    codewords = comms._codeword_weights(identity, np.zeros(1, dtype=np.int64), corr.nu[None],
+                                        table1.k)
+    (((score,),),) = comms._overlap_scores([table1], [table2], codewords, [gamma])
     return int(score)

@@ -117,8 +117,9 @@ def decoder_scores(codebook, sent, train, test, family, k, gamma, budget=DEFAULT
     makes: the training and test tables, then one scoring gather."""
     table1, table2 = enumerate_costs(*(make_cost(family, x, k) for x in (train, test)),
                                      budget=budget)
-    codewords = comms._codeword_weights(codebook, sent, build_correspondence(train, test), k)
-    return comms._overlap_scores(table1, table2, codewords, [gamma])[:, 0]
+    codewords = comms._codeword_weights(codebook, np.array([sent]),
+                                        build_correspondence(train, test).nu[None], k)
+    return comms._overlap_scores([table1], [table2], codewords, [gamma])[0, :, 0]
 
 
 def oracle_scores(codebook, sent_index, train, fresh_test, k, gamma):
@@ -369,6 +370,8 @@ class TestErrorRateGrid:
             # gammas at trial 0's exact cost gaps: members on the GAMMA_SLACK boundary
             ("kmeans", 2, 6, 1.0, (1, 4), "gaps", True, None),
             ("pairwise", 3, 6, 0.0, (1, 4), "gaps", False, None),
+            # every entry a member at 1e6: chunks of 3 members split trials
+            ("kmeans", 2, 6, 1.0, (2, 4), (0.0, 2.0, 1e6), False, 40),
         ],
     )
     def test_matches_per_cell_reference(self, monkeypatch, family, k, n, sigma, sizes,
@@ -429,12 +432,12 @@ class TestErrorRateGrid:
         assert sum(calls) >= 40 * 5 * 3  # every point's three log-partitions at least
 
     @pytest.mark.parametrize("compute_bound", [False, True])
-    def test_two_tables_and_one_gather_per_trial(self, monkeypatch, compute_bound):
+    def test_one_enumeration_and_one_gather_per_trial_group(self, monkeypatch, compute_bound):
         # the criterion-5 grid, one group of 40 trials: one enumeration call
-        # builds the group's 80 training and test tables, one gather per
-        # trial scores every (codebook, gamma) cell, and each trial draws its
-        # three codebooks' messages from one generator; with the bound, one
-        # joint gather and one orbit search serve the whole group
+        # builds the group's 80 training and test tables, one gather scores
+        # every (trial, codebook, gamma) cell, and each trial draws its three
+        # codebooks' messages from one generator; with the bound, one joint
+        # gather and one orbit search serve the whole group
         import ascoding.exact as ex
 
         counts = {"enumerate": 0, "tables": 0, "gather": 0, "generators": 0, "joint": 0,
@@ -462,7 +465,7 @@ class TestErrorRateGrid:
         assert comms._GROUP // 2**7 >= 40
         error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
                         seed=0, compute_bound=compute_bound)
-        assert counts == {"enumerate": 1, "tables": 2 * 40, "gather": 40, "generators": 40,
+        assert counts == {"enumerate": 1, "tables": 2 * 40, "gather": 1, "generators": 40,
                           "joint": int(compute_bound), "orbits": int(compute_bound)}
 
     def test_budget_overflow_raises(self):
