@@ -136,16 +136,12 @@ class CostTable:
         return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
 
     def threshold(self, gamma: float) -> float:
-        """The largest cost in the gamma-approximation set: gamma above the
-        minimum, with a small absolute slack so boundary members are not
-        lost to summation noise."""
+        """The largest cost in the gamma-approximation set: the set holds the
+        entries whose costs are within gamma of the minimum, with a small
+        absolute slack on the threshold so boundary members are not lost to
+        summation noise."""
         check_gamma(gamma)
         return self.r_min + gamma + GAMMA_SLACK
-
-    def members(self, gamma: float) -> np.ndarray:
-        """Mask of the slice's gamma-approximation set: costs at or below
-        the threshold."""
-        return self.costs <= self.threshold(gamma)
 
 
 @functools.lru_cache(maxsize=16)

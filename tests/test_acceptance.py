@@ -37,7 +37,7 @@ def instance(seed, n=8, d=2, k_true=2, sigma=0.8, sep=5.0):
 
 def set_size(table, gamma):
     """|C_gamma|: k per slice member."""
-    return table.k * int(table.members(gamma).sum())
+    return table.k * int((table.costs <= table.threshold(gamma)).sum())
 
 
 def test_criterion_1_oracle_equivalence_partition_functions():

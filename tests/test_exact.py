@@ -46,7 +46,7 @@ def encode(labels, k):
 
 def set_size(table, gamma):
     """|C_gamma|: k per slice member."""
-    return table.k * int(table.members(gamma).sum())
+    return table.k * int((table.costs <= table.threshold(gamma)).sum())
 
 
 def mean_cost(table, beta):
@@ -138,13 +138,14 @@ class TestApproxSetSize:
         with pytest.raises(ValueError):
             set_size(three_point_table, -0.1)
         with pytest.raises(ValueError):
-            three_point_table.members(float("nan"))
+            three_point_table.threshold(float("nan"))
 
     def test_members_keep_the_slack_boundary(self):
         table = CostTable.from_costs(np.array([1.0, 2.0, 2.0 + 0.5 * GAMMA_SLACK, 4.0]), n=3, k=2)
-        assert table.members(1.0).tolist() == [True, True, True, False]
-        assert table.members(1.0 - 2 * GAMMA_SLACK).tolist() == [True, False, False, False]
-        assert 2 * int(table.members(1.0).sum()) == 6
+        assert (table.costs <= table.threshold(1.0)).tolist() == [True, True, True, False]
+        assert (table.costs <= table.threshold(1.0 - 2 * GAMMA_SLACK)).tolist() == \
+            [True, False, False, False]
+        assert set_size(table, 1.0) == 6
 
 
 class TestLogPartition:
