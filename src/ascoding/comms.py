@@ -316,10 +316,11 @@ def error_rate_grid(
     Trial t draws one paired sample from the generator, from streams keyed
     by (seed, t), and serves every cell; each codebook picks its uniform
     message for trial t from the stream (seed, t, 1), and one gather on the
-    tables of a group of trials scores all their cells. With compute_bound=True the analytic bound is evaluated per trial
-    at each gamma on the trial's own sample pair (one beta calibration per
-    trial and gamma, shared by all codebooks; a group of trials calibrates
-    and evaluates its points together) and averaged: the bound holds in
+    tables of a group of trials scores all their cells. With
+    compute_bound=True the analytic bound is evaluated per trial at each
+    gamma on the trial's own sample pair (one beta calibration per trial and
+    gamma, shared by all codebooks; a group of trials calibrates and
+    evaluates its points together) and averaged: the bound holds in
     expectation over the data draw. A gamma below the calibration's
     resolution floor, gamma = 0 included, is bounded at the floor's beta,
     where the mean excess is 2^-44 (|r_min| + span): not a beta -> inf

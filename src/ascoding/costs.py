@@ -176,8 +176,8 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
 
 class SplitHalf(ABC):
     """Per-cluster statistics of the low half (objects 0..h-1) and the high
-    half (objects h..n-1) of the objects of several costs of one family, n
-    and k, stacked over the costs.
+    half (objects h..n-1) of the objects of several costs of one family, n,
+    k and data shape, stacked over the costs.
 
     Built from per-half label masks: masks[v, a, i] is 1.0 when object i of
     the half carries label v+1 in half-assignment a, and 0.0 otherwise. The

@@ -253,8 +253,7 @@ def _pushforward_index(nus: np.ndarray, n: int, k: int):
     w = pushforward_weights(nus, k)
     hi_digits, _ = _half_labels(n - h, k)
     lo_digits = _half_labels(h, k)[0][::k]
-    size, (stack, b, a) = len(hi_digits) * len(lo_digits), (len(nus), len(hi_digits),
-                                                            len(lo_digits))
+    stack, b, a = len(nus), len(hi_digits), len(lo_digits)
     # Shifting every label by -s is a relabeling; with s the label of
     # training object j0 = nu[0], which test object 0 inherits, it puts the
     # push-forward on the slice. Test object 0 is the only one whose weight
@@ -265,13 +264,14 @@ def _pushforward_index(nus: np.ndarray, n: int, k: int):
     shifts = np.arange(k)[:, None, None]
     q_lo = (((lo_digits - shifts) % k) @ w[:, :h].T // k).transpose(2, 0, 1)
     q_hi = (((hi_digits - shifts) % k) @ w[:, h:].T // k).transpose(2, 0, 1)
-    terms = np.concatenate([q_hi.ravel(), q_lo.ravel()])  # q_lo from stack * k * b on
+    # q_hi[t, s, hi] at (t k + s) b + hi, then q_lo[t, s, lo] after all of q_hi
+    terms = np.concatenate([q_hi.ravel(), q_lo.ravel()])
     # per table: the gathered term's index into `terms` and the fixed term,
     # each the sum of a per-lo and a per-hi part
     at_lo = np.tile(np.arange(a), (stack, 1))
     at_hi = np.tile(np.arange(b), (stack, 1))
     fixed_lo = np.zeros((stack, a), dtype=np.int64)
-    fixed_hi = np.repeat(np.arange(stack)[:, None] * size, b, axis=1)
+    fixed_hi = np.repeat(np.arange(stack)[:, None] * (b * a), b, axis=1)  # second table t
     low = np.flatnonzero(nus[:, 0] < h)  # s follows the low-half assignment
     s = lo_digits[:, nus[low, 0]].T
     at_lo[low] = (low[:, None] * k + s) * b
@@ -453,8 +453,8 @@ class ExactTables:
     @classmethod
     def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
                   budget: int = DEFAULT_BUDGET) -> "ExactTables":
-        (tables,) = cls.stack(*([t] for t in enumerate_costs(cost1, cost2, budget=budget)),
-                              [corr])
+        table1, table2 = enumerate_costs(cost1, cost2, budget=budget)
+        (tables,) = cls.stack([table1], [table2], [corr])
         return tables
 
     @property
