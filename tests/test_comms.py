@@ -362,7 +362,7 @@ class TestErrorRateGrid:
             # zero noise: duplicate points, so costs tie at gamma=0
             ("kmeans", 2, 6, 0.0, (2, 8), (0.0, 1e6), True, None),
             ("pairwise", 3, 6, 1.0, (2, 3), (0.25, 3.0, 1e6), True, None),
-            # codewords scored in several small gathers
+            # members scored in several small gathers, one member each
             ("kmeans", 2, 6, 1.0, (8,), (0.0, 2.0), False, 5),
             # unsorted, with a duplicate: the levels rank gammas, the cells keep their order
             ("kmeans", 2, 6, 1.0, (1, 2, 4), (2.0, 0.0, math.inf, 0.0), True, None),
