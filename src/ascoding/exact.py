@@ -175,7 +175,7 @@ def _cache_argmins(tables: Sequence[CostTable]) -> None:
         t.__dict__["argmin_index"] = index  # where functools.cached_property keeps it
 
 
-def _rows(tables: Sequence[CostTable]) -> np.ndarray:
+def _cost_rows(tables: Sequence[CostTable]) -> np.ndarray:
     """The costs of equal-length tables as the rows of one array, a view of
     the table when there is one."""
     if len(tables) == 1:
@@ -293,14 +293,14 @@ def check_gamma(gamma: float) -> None:
 
 def _stacked(tables: Sequence[CostTable]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(costs, r_min, rows) of equal-length tables: the distinct tables as the
-    rows of one array (_rows), and per given table its row and its minimum."""
+    rows of one array (_cost_rows), and per given table its row and its minimum."""
     slot: dict[int, int] = {}
     distinct: list[CostTable] = []
     for t in tables:
         if slot.setdefault(id(t), len(distinct)) == len(distinct):
             distinct.append(t)
     rows = np.array([slot[id(t)] for t in tables], dtype=np.intp)
-    costs = _rows(distinct) if distinct else np.empty((0, 1))
+    costs = _cost_rows(distinct) if distinct else np.empty((0, 1))
     return costs, np.array([t.r_min for t in tables], dtype=np.float64), rows
 
 
@@ -420,8 +420,8 @@ def joint_cost_table(tables1: Sequence[CostTable], tables2: Sequence[CostTable],
     if any((t.n, t.k) != (n, k) for t in (*tables1, *tables2)):
         raise ValueError("tables must share n and k")
     index = _pushforward_index(np.stack([corr.nu for corr in corrs]), n, k)
-    costs1 = _rows(tables1).reshape(len(tables1), k ** (n - _low_half(n)), -1)
-    costs2 = _rows(tables2).ravel()
+    costs1 = _cost_rows(tables1).reshape(len(tables1), k ** (n - _low_half(n)), -1)
+    costs2 = _cost_rows(tables2).ravel()
     out = np.empty(costs1.shape)
     for t, hi, lo in _blocks(*out.shape):
         out[t, hi, lo] = costs1[t, hi, lo] + costs2.take(index(t, hi, lo))
