@@ -157,15 +157,13 @@ def _log_nsigma_of(minimizer: Assignment, nsigma: str) -> float:
     return log_type_class_size(type_distribution(minimizer), asymptotic=nsigma == "asymptotic")
 
 
-def exact_points(tables: ex.ExactTables | Sequence[ex.ExactTables], betas,
+def exact_points(tables: Sequence[ex.ExactTables], betas,
                  nsigma: str) -> tuple[CapacityPoint, ...]:
     """Exact capacity points, one per beta, from three stacked passes (the
     training moments, the test log Z and the joint log Z of every point).
-    tables is one ExactTables for every beta or one per beta; log_nsigma
-    counts the type class of each point's training minimizer."""
+    tables holds one ExactTables per beta; log_nsigma counts the type class
+    of each point's training minimizer."""
     betas = [float(b) for b in betas]
-    if isinstance(tables, ex.ExactTables):
-        tables = [tables] * len(betas)
     lz1, gammas, _ = ex.stacked_moments([t.table1 for t in tables], betas)
     lz2 = ex.stacked_log_partition([t.table2 for t in tables], betas)
     ldz = ex.stacked_log_partition([t.joint for t in tables], betas)
@@ -216,8 +214,8 @@ def capacity_curve(
     if mode == "exact":
         tables = ex.ExactTables.enumerate(cost1, cost2, corr, cfg.budget)
         grid = cfg.beta_grid or tables.auto_grid(cfg.grid_points)
-        return CapacityCurve(points=exact_points(tables, grid, cfg.nsigma), engine="exact",
-                             cost_name=cost_family, n=train.n, k=k)
+        return CapacityCurve(points=exact_points([tables] * len(grid), grid, cfg.nsigma),
+                             engine="exact", cost_name=cost_family, n=train.n, k=k)
 
     minimizer, r_min = erm_search(cost1, restarts=cfg.restarts, seed=cfg.seed)
     log_ns = _log_nsigma_of(minimizer, cfg.nsigma)

@@ -132,10 +132,6 @@ class Correspondence:
             raise ValueError("nu entries must be valid training indices in 0..n-1")
         object.__setattr__(self, "nu", _frozen(arr))
 
-    @staticmethod
-    def identity(n: int) -> "Correspondence":
-        return Correspondence(nu=np.arange(n, dtype=np.int64), n=n)
-
 
 @dataclass(frozen=True)
 class TypeDistribution:

@@ -24,9 +24,10 @@ are k times the slice's, and Boltzmann averages are equal. The joint table
 gathers table2 at the slice form of each push-forward: every label shifted
 by minus the label of test object 0 (at k = 2, idx -> 2^n - 1 - idx).
 
-ExactTables holds the training, test and joint tables of one sample pair
-and calibrates beta for a target gamma on the training table; capacity
-curves, point queries and the channel bound each build one per pair.
+ExactTables holds the training, test and joint tables of one sample pair,
+its training minimizer and its span, all computed when ExactTables.stack
+builds it; capacity curves, point queries and the channel bound each build
+one per pair and calibrate beta for a target gamma on its training table.
 
 Work on many tables of one n and k is stacked, and each table is bit for
 bit what it is alone, so a single table or pair is a stack of one.
@@ -39,8 +40,7 @@ alone, tile by tile. Boltzmann sums are taken over stacks of equal-length
 tables, each row at its own beta (stacked_moments, stacked_log_partition):
 tables of at most _BLOCK entries share numpy calls, and every row sums
 exactly what a pass over its table alone sums. calibrate_betas advances
-many beta calibrations in lock-step on such stacks; exact_moments and
-exact_log_partition are their one-table cases.
+many beta calibrations in lock-step on such stacks.
 
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
@@ -65,8 +65,6 @@ __all__ = [
     "decode_indices",
     "enumerate_costs",
     "pushforward_weights",
-    "exact_log_partition",
-    "exact_moments",
     "joint_cost_table",
     "stacked_log_partition",
     "stacked_moments",
@@ -103,13 +101,7 @@ def _lowest_in_orbit(indices: np.ndarray, n: int, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class CostTable:
     """Costs of one cost function on the slice: the k^(n-1) assignments with
-    object 0 in cluster 1, entry i holding encoding index k * i. argmin_index,
-    computed on first read unless a stack filled it (_cache_argmins), is an
-    encoding index: the lowest member of the relabeling orbits of the tied
-    minima, which is the lowest tied index of all k^n assignments whenever
-    relabelings cost the same bits (at k <= 2 the cluster costs add
-    commutatively; at k >= 3 they are summed in label order, so relabelings
-    can differ by an ulp)."""
+    object 0 in cluster 1, entry i holding encoding index k * i."""
 
     costs: np.ndarray
     n: int
@@ -126,14 +118,6 @@ class CostTable:
             raise ValueError("costs are not finite: the data's scale overflows float64")
         costs.flags.writeable = False
         return CostTable(costs=costs, n=n, k=k, r_min=r_min)
-
-    @functools.cached_property
-    def argmin_index(self) -> int:
-        _cache_argmins([self])
-        return self.__dict__["argmin_index"]
-
-    def minimizer_labels(self) -> np.ndarray:
-        return decode_indices(np.array([self.argmin_index]), self.n, self.k)[0]
 
     def threshold(self, gamma: float) -> float:
         """The largest cost in the gamma-approximation set: the set holds the
@@ -155,24 +139,22 @@ def _half_labels(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, masks
 
 
-def _cache_argmins(tables: Sequence[CostTable]) -> None:
-    """Fill the argmin_index of every table that lacks one, from one
-    _lowest_in_orbit pass over the tied minima of all of them, in chunks of
-    _BLOCK ties; the tables share n and k."""
-    todo = list({id(t): t for t in tables if "argmin_index" not in t.__dict__}.values())
-    if not todo:
-        return
-    n, k = todo[0].n, todo[0].k
-    if any((t.n, t.k) != (n, k) for t in todo):
-        raise ValueError("tables must share n and k")
+def _minimizers(tables: Sequence[CostTable]) -> np.ndarray:
+    """The minimizer of each of a non-empty stack of tables of one n and k,
+    as a row of labels: the lowest member of the relabeling orbits of its
+    tied minima, from one _lowest_in_orbit pass over the tied minima of all
+    the tables, in chunks of _BLOCK ties. That is the lowest tied index of
+    all k^n assignments whenever relabelings cost the same bits (at k <= 2
+    the cluster costs add commutatively; at k >= 3 they are summed in label
+    order, so relabelings can differ by an ulp)."""
+    n, k = tables[0].n, tables[0].k
     # every tied orbit meets the slice; its lowest member may not
-    tied = [np.flatnonzero(t.costs == t.r_min) for t in todo]
+    tied = [np.flatnonzero(t.costs == t.r_min) for t in tables]
     indices = np.concatenate(tied) * k
     lowest = np.concatenate([_lowest_in_orbit(indices[i : i + _BLOCK], n, k)
                              for i in range(0, indices.size, _BLOCK)])
     starts = np.cumsum([0] + [ties.size for ties in tied[:-1]])
-    for t, index in zip(todo, np.minimum.reduceat(lowest, starts).tolist()):
-        t.__dict__["argmin_index"] = index  # where functools.cached_property keeps it
+    return decode_indices(np.minimum.reduceat(lowest, starts), n, k)
 
 
 def _cost_rows(tables: Sequence[CostTable]) -> np.ndarray:
@@ -372,9 +354,10 @@ def _log_z(tables: Sequence[CostTable], beta: np.ndarray, z: np.ndarray) -> np.n
 
 def stacked_moments(tables: Sequence[CostTable],
                     betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exact_moments of tables[i] at betas[i] for every i, as three arrays
-    (log Z, mean excess, variance), from one stacked pass over the distinct
-    tables; each value is bit for bit the one its (table, beta) gives alone."""
+    """(log Z, mean excess cost <R> - r_min, variance of R) of tables[i] at
+    betas[i] for every i, as three arrays, from one stacked pass over the
+    distinct tables; log Z is exactly n log k at beta = 0, and each value is
+    bit for bit the one its (table, beta) gives alone."""
     beta = np.asarray(betas, dtype=np.float64)
     costs, r_min, rows = _stacked(tables)
     sums = _boltzmann_sums(costs, r_min, rows, beta, 2)
@@ -382,8 +365,9 @@ def stacked_moments(tables: Sequence[CostTable],
 
 
 def stacked_log_partition(tables: Sequence[CostTable], betas) -> np.ndarray:
-    """exact_log_partition of tables[i] at betas[i] for every i, from one
-    stacked pass over the points at beta > 0."""
+    """log sum_c exp(-beta R(c)) of tables[i] at betas[i] for every i, from
+    one stacked pass over the points at beta > 0; exactly n log k at
+    beta = 0."""
     beta = np.asarray(betas, dtype=np.float64)
     hot = np.flatnonzero(beta != 0.0)  # NaN included: the pass rejects it
     z = np.ones(beta.size)
@@ -391,18 +375,6 @@ def stacked_log_partition(tables: Sequence[CostTable], betas) -> np.ndarray:
         costs, r_min, rows = _stacked([tables[i] for i in hot])
         z[hot] = _boltzmann_sums(costs, r_min, rows, beta[hot], 0)[0]
     return _log_z(tables, beta, z)
-
-
-def exact_log_partition(table: CostTable, beta: float) -> float:
-    """log sum_c exp(-beta R(c)), max-subtracted; exactly n log k at beta=0."""
-    return float(stacked_log_partition([table], [beta])[0])
-
-
-def exact_moments(table: CostTable, beta: float) -> tuple[float, float, float]:
-    """(log Z, mean excess cost <R> - r_min, variance of R) at beta from one
-    pass over the table; log Z is exactly n log k at beta=0."""
-    log_z, excess, variance = stacked_moments([table], [beta])
-    return float(log_z[0]), float(excess[0]), float(variance[0])
 
 
 def joint_cost_table(tables1: Sequence[CostTable], tables2: Sequence[CostTable],
@@ -431,24 +403,35 @@ def joint_cost_table(tables1: Sequence[CostTable], tables2: Sequence[CostTable],
 _NEWTON_TOL = 2.0**-50  # relative Newton step at which a calibration stops
 
 
+@dataclass(frozen=True, eq=False)
 class ExactTables:
-    """The training, test and joint tables of one sample pair, with the beta
-    calibration on the training table: the exact capacity curve, the point
-    queries and the channel bound all read one such set. `stack` builds the
-    sets of many pairs."""
+    """The training, test and joint tables of one sample pair, the training
+    minimizer (see _minimizers) and the span, the training table's
+    mean-cost excess at beta = 0 and the widest gamma any beta reaches: the
+    exact capacity curve, the point queries and the channel bound all read
+    one such set. `stack` builds the sets of many pairs."""
 
-    def __init__(self, table1: CostTable, table2: CostTable, joint: CostTable):
-        self.table1, self.table2, self.joint = table1, table2, joint
+    table1: CostTable
+    table2: CostTable
+    joint: CostTable
+    minimizer: Assignment
+    span: float
 
     @classmethod
     def stack(cls, tables1: Sequence[CostTable], tables2: Sequence[CostTable],
               corrs: Sequence[Correspondence]) -> list["ExactTables"]:
         """The sets of the pairs (tables1[i], tables2[i], corrs[i]): their
-        joint tables from one stacked gather, and their training minimizers
-        from one search of the tied minima's relabeling orbits."""
+        joint tables from one stacked gather, their training minimizers from
+        one search of the tied minima's relabeling orbits, and their spans
+        from one stacked pass at beta = 0."""
         joints = joint_cost_table(tables1, tables2, corrs)
-        _cache_argmins(tables1)
-        return [cls(*tables) for tables in zip(tables1, tables2, joints)]
+        if not joints:
+            return []
+        costs, r_min, rows = _stacked(tables1)
+        spans, _ = _excess_moments(*_boltzmann_sums(costs, r_min, rows, np.zeros(rows.size), 2))
+        return [cls(t1, t2, joint, Assignment(labels, t1.k), span)
+                for t1, t2, joint, labels, span in zip(tables1, tables2, joints,
+                                                      _minimizers(tables1), spans.tolist())]
 
     @classmethod
     def enumerate(cls, cost1: CostFunction, cost2: CostFunction, corr: Correspondence,
@@ -458,16 +441,6 @@ class ExactTables:
         return tables
 
     @property
-    def minimizer(self) -> Assignment:
-        return Assignment(self.table1.minimizer_labels(), self.table1.k)
-
-    @functools.cached_property
-    def span(self) -> float:
-        """Mean-cost excess at beta = 0, the widest gamma any beta reaches."""
-        _cache_spans([self])
-        return self.__dict__["span"]
-
-    @functools.cached_property
     def resolution(self) -> float:
         """The smallest gamma calibrate_betas resolves: calibrating below the
         costs' rounding noise would need a beta so large that the
@@ -484,18 +457,6 @@ class ExactTables:
         return (0.0, *np.geomspace(beta_lo, beta_hi, points - 1))
 
 
-def _cache_spans(tables: Sequence[ExactTables]) -> None:
-    """Fill the span of every ExactTables that lacks one, from one stacked
-    pass at beta = 0 over their training tables."""
-    todo = list({id(t): t for t in tables if "span" not in t.__dict__}.values())
-    if not todo:
-        return
-    costs, r_min, rows = _stacked([t.table1 for t in todo])
-    excess, _ = _excess_moments(*_boltzmann_sums(costs, r_min, rows, np.zeros(len(todo)), 2))
-    for t, span in zip(todo, excess):
-        t.__dict__["span"] = float(span)  # where functools.cached_property keeps it
-
-
 def _newton_search(target: float, span: float, resolution: float):
     """The beta calibration of one target, as a generator: it yields each
     beta at which it needs the training table's (mean excess, variance), is
@@ -508,7 +469,8 @@ def _newton_search(target: float, span: float, resolution: float):
     Recipes, section 9.4), shrink that bracket: a step that leaves it, or
     is not half the step before last, bisects instead. A converged step
     from above the target returns; from below it is stretched, doubling
-    each time, until it crosses the root.
+    each time, until it crosses the root. Costs so small that no finite
+    beta crosses the target raise ValueError.
     """
     target = max(target, resolution)
     if target >= span:
@@ -518,6 +480,9 @@ def _newton_search(target: float, span: float, resolution: float):
     above = gamma > target
     while (gamma > target) == above:
         prev, beta = beta, beta * (2.0 if above else 0.5)
+        if beta == np.inf:
+            raise ValueError(f"no finite beta narrows gamma to {target:.3g} on costs spanning "
+                             f"{span:.3g}: the data's scale underflows float64")
         gamma, var = yield beta
     lo, hi = sorted((prev, beta))
     step = step_old = hi - lo
@@ -554,7 +519,6 @@ def calibrate_betas(tables: Sequence[ExactTables], targets: Sequence[float]) -> 
         raise ValueError(f"{len(targets)} targets for {len(tables)} tables")
     for target in targets:
         check_gamma(target)  # a NaN target never brackets
-    _cache_spans(tables)
     searches = [_newton_search(target, t.span, t.resolution) for t, target in zip(tables, targets)]
     costs, r_min, rows = _stacked([t.table1 for t in tables])
     betas = [0.0] * len(searches)

@@ -1,9 +1,11 @@
 """Helpers shared by the test modules: the received-sample builder of the
-channel oracles, and the decoder's two-sample intersection."""
+channel oracles, the decoder's two-sample intersection, and the exact
+engine's stacked passes and set-up applied to one table."""
 import numpy as np
 
 from ascoding import comms
-from ascoding.core import Dataset, Kind
+from ascoding.core import Correspondence, Dataset, Kind
+from ascoding.exact import ExactTables, stacked_log_partition, stacked_moments
 
 
 def permute_dataset(data: Dataset, sigma: np.ndarray) -> Dataset:
@@ -25,3 +27,20 @@ def decoded_intersection(table1, table2, corr, gamma):
                                         table1.k)
     (((score,),),) = comms._overlap_scores([table1], [table2], codewords, [gamma])
     return int(score)
+
+
+def log_partition(table, beta):
+    """log Z of one table at one beta: a stack of one."""
+    return float(stacked_log_partition([table], [beta])[0])
+
+
+def moments(table, beta):
+    """(log Z, mean excess, variance) of one table at one beta: a stack of one."""
+    return tuple(float(v[0]) for v in stacked_moments([table], [beta]))
+
+
+def minimizer_labels(table):
+    """The training minimizer that ExactTables.stack finds on table, as labels."""
+    same = Correspondence(nu=np.arange(table.n), n=table.n)
+    (tables,) = ExactTables.stack([table], [table], [same])
+    return tables.minimizer.labels

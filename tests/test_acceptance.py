@@ -16,10 +16,10 @@ from ascoding.comms import error_rate_grid, generate_codebook
 from ascoding.core import build_correspondence
 from ascoding.costs import JointCost, KMeansCost
 from ascoding.datagen import MixtureSpec, draw_paired_samples
-from ascoding.exact import enumerate_costs, exact_log_partition, exact_moments, joint_cost_table
+from ascoding.exact import enumerate_costs, joint_cost_table
 from ascoding.capacity import make_cost
 from ascoding.thermo import default_beta_grid, thermo_integrate
-from conftest import decoded_intersection
+from conftest import decoded_intersection, log_partition, moments
 
 LN2 = math.log(2)
 
@@ -58,9 +58,9 @@ def test_criterion_1_oracle_equivalence_partition_functions():
             table1, table2 = enumerate_costs(c1, c2)
             (joint_table,) = joint_cost_table([table1], [table2], [corr])
             curve, joint = thermo_integrate([c1, JointCost(c1, c2, corr)], cfg)
-            err_z = max(abs(curve.log_z[i] - exact_log_partition(table1, b))
+            err_z = max(abs(curve.log_z[i] - log_partition(table1, b))
                         for i, b in enumerate(grid))
-            err_dz = max(abs(joint.log_z[i] - exact_log_partition(joint_table, b))
+            err_dz = max(abs(joint.log_z[i] - log_partition(joint_table, b))
                          for i, b in enumerate(grid))
             worst = max(worst, err_z, err_dz)
     elapsed = time.time() - t0
@@ -128,12 +128,12 @@ def test_criterion_4_monotonicity_suite():
         assert sizes[-1] == 2**8
 
         betas = np.geomspace(1e-3, 5.0, 12)
-        means = [table.r_min + exact_moments(table, b)[1] for b in betas]
+        means = [table.r_min + moments(table, b)[1] for b in betas]
         assert all(a >= b - 1e-12 for a, b in zip(means, means[1:]))
         for b in (0.05, 0.5, 2.0):
             h = b * 1e-4
-            fd = (exact_log_partition(table, b + h) - exact_log_partition(table, b - h)) / (2 * h)
-            assert fd == pytest.approx(-(table.r_min + exact_moments(table, b)[1]), rel=1e-4)
+            fd = (log_partition(table, b + h) - log_partition(table, b - h)) / (2 * h)
+            assert fd == pytest.approx(-(table.r_min + moments(table, b)[1]), rel=1e-4)
 
         curve = capacity_curve(x1, x2, "kmeans", 2, engine="exact",
                                cfg=CapacityConfig(grid_points=15))
@@ -255,7 +255,7 @@ def test_criterion_8_intersection_bounds():
         for gamma in np.linspace(0.0, span, 8):
             assert decoded_intersection(t1, t1, ident, gamma) == set_size(t1, gamma)
         for beta in (0.0, 0.2, 1.0, 4.0):
-            gap = exact_log_partition(joint, beta) - exact_log_partition(t1, beta)
+            gap = log_partition(joint, beta) - log_partition(t1, beta)
             worst_gap = max(worst_gap, gap)
             assert gap <= 1e-12
     report(8, True, f"bounds hold on 5 instances; max(logDZ - logZ1) = {worst_gap:.2e}")

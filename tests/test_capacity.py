@@ -27,9 +27,10 @@ from ascoding.core import (
 from ascoding.costs import KMeansCost
 from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paired_samples
 from ascoding.errors import BudgetError
-from ascoding.exact import ExactTables, calibrate_betas, enumerate_costs, exact_moments
+from ascoding.exact import ExactTables, calibrate_betas, enumerate_costs
 from ascoding.rng import derive_seed
 from ascoding.thermo import FreeEnergyCurve
+from conftest import minimizer_labels, moments
 
 
 def vecs(*rows):
@@ -70,7 +71,7 @@ class TestBetaZeroIdentity:
         x1, x2 = pair_n8
         curve = capacity_curve(x1, x2, "kmeans", 2, engine="exact",
                                cfg=CapacityConfig(nsigma="asymptotic", beta_grid=(0.0,)))
-        minimizer = enumerate_costs(KMeansCost(x1, 2))[0].minimizer_labels()
+        minimizer = minimizer_labels(enumerate_costs(KMeansCost(x1, 2))[0])
         h = type_entropy(type_distribution(Assignment(minimizer, 2)))
         assert curve.points[0].info == pytest.approx(h - math.log(2), abs=1e-9)
 
@@ -267,7 +268,7 @@ def exact_tables(x1, x2, family, k):
 def point_at_gamma(tables, gamma):
     """The exact capacity point at a calibrated gamma, as the channel bound
     reads it."""
-    (point,) = exact_points(tables, calibrate_betas([tables], [gamma]), "multinomial")
+    (point,) = exact_points([tables], calibrate_betas([tables], [gamma]), "multinomial")
     return point
 
 
@@ -285,7 +286,7 @@ class TestExactPointAtGamma:
         eng = exact_tables(*pair_n8, "kmeans", 2)
 
         def gamma(beta):
-            return exact_moments(eng.table1, beta)[1]
+            return moments(eng.table1, beta)[1]
 
         target = max(fraction * eng.span, eng.resolution)  # smaller gammas count as 0
         lo, hi = 0.0, 1.0
@@ -321,7 +322,7 @@ class TestExactPointAtGamma:
         # the mean cost reaches r_min exactly once the other weights underflow
         eng = exact_tables(*self._tied_trial(4, 4, 6.0, 1.0), "pairwise", 3)
         assert (eng.table1.costs == eng.table1.r_min).sum() == 6 // 3
-        assert exact_moments(eng.table1, 2.0**1000)[1] == 0.0
+        assert moments(eng.table1, 2.0**1000)[1] == 0.0
         pt = point_at_gamma(eng, 0.0)
         assert math.isfinite(pt.beta) and math.isfinite(pt.info)
         assert 0.0 <= pt.gamma <= eng.resolution
@@ -372,6 +373,27 @@ class TestExactEngineWork:
         capacity_curve(x1, x2, "kmeans", 2, engine="exact", cfg=CapacityConfig())
         assert set(sizes) == {2**19}
         assert len(sizes) <= 100
+
+    @pytest.mark.parametrize("family", ["kmeans", "pairwise"])
+    def test_stacked_passes_per_curve(self, monkeypatch, family):
+        # n = 12 on the automatic grid: one pass at beta = 0 when
+        # ExactTables.stack builds the set (the span), 13 Newton steps that
+        # calibrate the grid's two ends together, and 3 for the 25 points
+        import ascoding.exact as ex
+
+        cold = []
+        sums = ex._boltzmann_sums
+
+        def counted(costs, r_min, rows, beta, *args):
+            cold.append(bool((beta == 0.0).all()))
+            return sums(costs, r_min, rows, beta, *args)
+
+        monkeypatch.setattr(ex, "_boltzmann_sums", counted)
+        spec = MixtureSpec(n=12, d=2, k_true=2, noise_sigma=1.0, separation=4.0, seed=0,
+                           balanced=True)
+        x1, x2, _ = draw_paired_samples(spec)
+        capacity_curve(x1, x2, family, 2, engine="exact", cfg=CapacityConfig())
+        assert len(cold) == 17 and cold[0] and cold.count(True) == 1
 
 
 class TestCapacityConfig:

@@ -305,6 +305,34 @@ class TestErrorPaths:
             assert not (tmp_path / "sim" / "summary.json").exists()
             assert not (tmp_path / "sim" / "trials.csv").exists()
 
+    # squared distances near 1e-310 are subnormal: no finite beta narrows
+    # gamma below the span, and the calibration names the data's scale
+    # instead of passing beta = inf on to the Boltzmann pass
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_costs_exit_2(self, tmp_path, capsys):
+        scale = ("--k-true", 2, "--sep", "6e-155", "--sigma", "1e-155", "--balanced")
+        assert run("gen", "--n", 10, "--d", 2, *scale, "--seed", 1,
+                   "--out", tmp_path / "data") == 0
+        capsys.readouterr()
+        data = ("--train", tmp_path / "data" / "train.csv",
+                "--test", tmp_path / "data" / "test.csv")
+        for cost in ("kmeans", "pairwise"):
+            rc = run("capacity", *data, "--cost", cost, "--k", 2, "--engine", "exact",
+                     "--out", tmp_path / "x")
+            assert rc == 2
+            assert "data's scale" in capsys.readouterr().err
+            assert not (tmp_path / "x" / "summary.json").exists()
+            rc = run("simulate", "--n", 8, *scale, "--cost", cost, "--k", 2, "--gammas", "0,1",
+                     "--codebook-sizes", 2, "--trials", 3, "--seed", 1, "--out", tmp_path / "sim")
+            assert rc == 2
+            assert "data's scale" in capsys.readouterr().err
+            assert not (tmp_path / "sim" / "summary.json").exists()
+        assert run("select", *data, "--cost", "kmeans,pairwise", "--k", 2, "--engine", "exact",
+                   "--out", tmp_path / "sel") == 0
+        ranking = json.loads((tmp_path / "sel" / "ranking.json").read_text())
+        assert ranking["ranking"] == [] and len(ranking["failures"]) == 2
+        assert all("data's scale" in f["error"] for f in ranking["failures"])
+
     @pytest.mark.parametrize("grid", ["0,nan", "0,inf"])
     def test_non_finite_beta_grid_exit_2(self, dataset_dir, tmp_path, grid):
         rc = run("capacity", "--train", dataset_dir / "train.csv",

@@ -343,7 +343,7 @@ def per_cell_reference(codebooks, spec, family, k, gammas, trials, seed, compute
                     tables = ExactTables.enumerate(make_cost(family, x1, k),
                                                    make_cost(family, x2, k),
                                                    build_correspondence(x1, x2))
-                    (pt,) = exact_points(tables, calibrate_betas([tables], [gamma]), "multinomial")
+                    (pt,) = exact_points([tables], calibrate_betas([tables], [gamma]), "multinomial")
                     bounds.append(error_bound(pt.info, cb.rate_bits, spec.n))
             lo, hi = wilson_interval(errors, trials)
             row.append((tuple(rows), errors, lo, hi,
@@ -412,15 +412,17 @@ class TestErrorRateGrid:
 
     def test_bound_passes_are_stacked(self, monkeypatch):
         # the criterion-5 grid: 40 trials x 5 gammas of n = 8, one group;
-        # one pass per trial and gamma made 2,746 passes over single tables
+        # one pass per trial and gamma made 2,746 passes over single tables.
+        # ExactTables.stack makes the one pass at beta = 0, for the spans
         import ascoding.exact as ex
 
-        calls = []
+        calls, cold = [], []
         sums = ex._boltzmann_sums
 
-        def counted(costs, r_min, rows, *args):
+        def counted(costs, r_min, rows, beta, *args):
             calls.append(rows.size)
-            return sums(costs, r_min, rows, *args)
+            cold.append(bool((beta == 0.0).all()))
+            return sums(costs, r_min, rows, beta, *args)
 
         monkeypatch.setattr(ex, "_boltzmann_sums", counted)
         spec = MixtureSpec(n=8, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
@@ -428,7 +430,7 @@ class TestErrorRateGrid:
         codebooks = [generate_codebook(8, math.log2(m) / 8, seed=0) for m in (2, 4, 8)]
         error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
                         seed=0, compute_bound=True)
-        assert len(calls) <= 40
+        assert len(calls) == 19 and cold.count(True) == 1 and calls[cold.index(True)] == 40
         assert sum(calls) >= 40 * 5 * 3  # every point's three log-partitions at least
 
     @pytest.mark.parametrize("compute_bound", [False, True])

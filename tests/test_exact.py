@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -25,14 +26,12 @@ from ascoding.exact import (
     calibrate_betas,
     decode_indices,
     enumerate_costs,
-    exact_log_partition,
-    exact_moments,
     joint_cost_table,
     stacked_log_partition,
     stacked_moments,
 )
 from ascoding.rng import derive_seed
-from conftest import decoded_intersection
+from conftest import decoded_intersection, log_partition, minimizer_labels, moments
 
 
 def vecs(*rows):
@@ -44,6 +43,11 @@ def encode(labels, k):
     return (labels - 1) @ k ** np.arange(labels.shape[1])
 
 
+def index_of(labels, k):
+    """The table index of one label vector."""
+    return int(encode(np.asarray(labels)[None], k)[0])
+
+
 def set_size(table, gamma):
     """|C_gamma|: k per slice member."""
     return table.k * int((table.costs <= table.threshold(gamma)).sum())
@@ -51,13 +55,13 @@ def set_size(table, gamma):
 
 def mean_cost(table, beta):
     """Boltzmann average of the cost at beta."""
-    return table.r_min + exact_moments(table, beta)[1]
+    return table.r_min + moments(table, beta)[1]
 
 
 def joint_log_partition(table1, cost2, corr, beta):
     """log dZ(beta) of the joint table of table1 and cost2's table."""
     (joint,) = joint_cost_table([table1], enumerate_costs(cost2), [corr])
-    return exact_log_partition(joint, beta)
+    return log_partition(joint, beta)
 
 
 def all_assignments(n, k):
@@ -150,10 +154,10 @@ class TestApproxSetSize:
 
 class TestLogPartition:
     def test_beta_zero_exact(self, three_point_table):
-        assert exact_log_partition(three_point_table, 0.0) == 3 * math.log(2)
+        assert log_partition(three_point_table, 0.0) == 3 * math.log(2)
 
     def test_large_beta_ground_state_degeneracy(self, three_point_table):
-        got = exact_log_partition(three_point_table, 50.0) + 50.0 * 0.5
+        got = log_partition(three_point_table, 50.0) + 50.0 * 0.5
         assert got == pytest.approx(math.log(2), abs=1e-6)
 
     def test_direct_summation(self, three_point_table):
@@ -161,16 +165,16 @@ class TestLogPartition:
         full = reference_table(KMeansCost(vecs([0.0], [1.0], [4.0]), 2)).costs
         assert np.array_equal(three_point_table.costs, full[::2])
         direct = math.log(sum(math.exp(-beta * c) for c in full))
-        assert exact_log_partition(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
+        assert log_partition(three_point_table, beta) == pytest.approx(direct, rel=1e-12)
 
     def test_constant_zero(self):
         (table,) = enumerate_costs(KMeansCost(vecs([1.0], [1.0], [1.0]), 2))
         for beta in (0.0, 1.0, 100.0):
-            assert exact_log_partition(table, beta) == pytest.approx(3 * math.log(2))
+            assert log_partition(table, beta) == pytest.approx(3 * math.log(2))
 
     def test_convex_nonincreasing(self, three_point_table):
         betas = np.linspace(0, 5, 30)
-        vals = [exact_log_partition(three_point_table, b) for b in betas]
+        vals = [log_partition(three_point_table, b) for b in betas]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         second = np.diff(vals, 2)
         assert np.all(second >= -1e-9)  # convex in beta
@@ -201,8 +205,8 @@ class TestMeanCost:
         for beta in (0.5, 1.0, 2.0):
             h = 1e-5
             fd = (
-                exact_log_partition(three_point_table, beta + h)
-                - exact_log_partition(three_point_table, beta - h)
+                log_partition(three_point_table, beta + h)
+                - log_partition(three_point_table, beta - h)
             ) / (2 * h)
             assert fd == pytest.approx(-mean_cost(three_point_table, beta), rel=1e-4)
 
@@ -211,14 +215,14 @@ class TestJointPartition:
     def test_identical_sample_collapse(self, three_point_table):
         data = vecs([0.0], [1.0], [4.0])
         cost = KMeansCost(data, 2)
-        corr = Correspondence.identity(3)
+        corr = Correspondence(nu=np.arange(3), n=3)
         for beta in (0.3, 1.0, 2.5):
             got = joint_log_partition(three_point_table, cost, corr, beta)
-            assert got == pytest.approx(exact_log_partition(three_point_table, 2 * beta), rel=1e-12)
+            assert got == pytest.approx(log_partition(three_point_table, 2 * beta), rel=1e-12)
 
     def test_beta_zero(self, three_point_table):
         cost = KMeansCost(vecs([0.0], [1.0], [4.0]), 2)
-        got = joint_log_partition(three_point_table, cost, Correspondence.identity(3), 0.0)
+        got = joint_log_partition(three_point_table, cost, Correspondence(nu=np.arange(3), n=3), 0.0)
         assert got == 3 * math.log(2)
 
     def test_two_sample_oracle(self, gaussian_pair):
@@ -243,13 +247,13 @@ class TestJointPartition:
         for beta in (0.1, 0.6, 2.0, 5.0):
             assert (
                 joint_log_partition(table1, c2, corr, beta)
-                <= exact_log_partition(table1, beta) + 1e-12
+                <= log_partition(table1, beta) + 1e-12
             )
 
 
 class TestSetIntersection:
     def test_identical_full_overlap(self, three_point_table):
-        corr = Correspondence.identity(3)
+        corr = Correspondence(nu=np.arange(3), n=3)
         for g in (0.0, 1.0, 5.0):
             assert decoded_intersection(three_point_table, three_point_table, corr, g) == \
                 set_size(three_point_table, g)
@@ -290,12 +294,13 @@ class TestSetIntersection:
 
 def reference_table(cost):
     """The full k^n table: every label vector decoded and scored by
-    evaluate_batch; argmin_index is the lowest index among exact ties."""
+    evaluate_batch; argmin_index is the lowest index among exact ties, and
+    minimizer its labels."""
     labels = decode_indices(np.arange(cost.k**cost.n), cost.n, cost.k)
     costs = cost.evaluate_batch(labels)
     arg = int(np.argmin(costs))
     return SimpleNamespace(costs=costs, n=cost.n, k=cost.k, r_min=float(costs[arg]),
-                           argmin_index=arg, minimizer_labels=lambda: labels[arg])
+                           argmin_index=arg, minimizer=labels[arg])
 
 
 def reference_size(ref, gamma):
@@ -378,12 +383,13 @@ class TestSplitHalfAgainstReference:
             new, ref = enumerate_costs(cost)[0], reference_table(cost)
             k = cost.k
             assert np.abs(new.costs - ref.costs[::k]).max() <= 1e-12 * scale
-            assert ref.costs[new.argmin_index] <= ref.r_min + 2e-12 * scale
+            argmin = index_of(minimizer_labels(new), k)
+            assert ref.costs[argmin] <= ref.r_min + 2e-12 * scale
             if integral:
                 # exact arithmetic: the slice is every k-th entry
                 assert np.array_equal(new.costs, ref.costs[::k])
                 if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
-                    assert new.argmin_index == ref.argmin_index
+                    assert argmin == ref.argmin_index
                 for gap in np.unique(ref.costs - ref.r_min):
                     assert set_size(new, gap) == reference_size(ref, gap)
 
@@ -457,21 +463,22 @@ class TestCanonicalSliceAgainstFull:
         assert np.abs(eng.joint.costs - joint[::k]).max() <= 1e-12 * scale
         if integral:  # same arithmetic: the slice is every k-th entry
             assert np.array_equal(eng.table1.costs, ref1.costs[::k])
-        assert ref1.costs[eng.table1.argmin_index] <= ref1.r_min + 2e-12 * scale
+        argmin = index_of(eng.minimizer.labels, k)
+        assert ref1.costs[argmin] <= ref1.r_min + 2e-12 * scale
         beta = beta_unit * 10.0 / scale
         lz1, gamma, var = reference_moments(ref1.costs, beta)
-        (pt,) = exact_points(eng, [beta], "multinomial")
+        (pt,) = exact_points([eng], [beta], "multinomial")
         if integral:
-            ref_type = type_distribution(Assignment(ref1.minimizer_labels(), k))
+            ref_type = type_distribution(Assignment(ref1.minimizer, k))
             assert pt.log_nsigma == log_type_class_size(ref_type)
             if k <= 2:  # at k >= 3 relabelings sum their clusters in other orders
-                assert eng.table1.argmin_index == ref1.argmin_index
+                assert argmin == ref1.argmin_index
         # costs agree to 1e-12 * scale, which moves log Z by beta times that
         for got, want in ((pt.log_z1, lz1), (pt.log_z2, reference_moments(ref2.costs, beta)[0]),
                           (pt.log_dz, reference_moments(joint, beta)[0])):
             assert abs(got - want) <= 1e-12 * (abs(want) + beta * scale)
         assert abs(pt.gamma - gamma) <= 1e-12 * scale
-        assert abs(exact_moments(eng.table1, beta)[2] - var) <= 1e-12 * scale**2
+        assert abs(moments(eng.table1, beta)[2] - var) <= 1e-12 * scale**2
 
     @settings(max_examples=100, deadline=None)
     @given(inst=instances())
@@ -495,7 +502,7 @@ class TestCanonicalSliceAgainstFull:
             full = reference_table(KMeansCost(x, k))
             (can,) = enumerate_costs(KMeansCost(x, k))
             assert np.array_equal(can.costs, full.costs[::k])
-            assert can.argmin_index == full.argmin_index
+            assert index_of(minimizer_labels(can), k) == full.argmin_index
             assert can.k * can.costs.size == full.costs.size
 
 
@@ -605,8 +612,8 @@ class TestStackedPasses:
             want = one_table_moments(t, beta)
             assert (log_z[i], excess[i], var[i]) == want
             assert log_z0[i] == want[0]
-            assert exact_moments(t, beta) == want
-            assert exact_log_partition(t, beta) == want[0]
+            assert moments(t, beta) == want
+            assert log_partition(t, beta) == want[0]
 
     @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
     def test_bad_beta_in_a_stack_rejected_before_any_pass(self, monkeypatch, bad):
@@ -669,6 +676,14 @@ class TestLockStepCalibration:
         grid = tables.auto_grid(5)
         assert grid == (0.0, *np.geomspace(one_table_beta(tables.table1, 0.9 * span),
                                            one_table_beta(tables.table1, 1e-3 * span), 4))
+
+    def test_no_finite_beta_names_the_data_scale(self):
+        # subnormal costs: beta doubles to inf before the mean excess leaves
+        # the span, and the search says so before inf reaches a pass
+        table = CostTable.from_costs(np.array([0.0, 1e-310, 3e-310, 4e-310]), 3, 2)
+        (tables,) = ExactTables.stack([table], [table], [Correspondence(nu=np.arange(3), n=3)])
+        with pytest.raises(ValueError, match="data's scale underflows"):
+            calibrate_betas([tables], [0.5 * tables.span])
 
     def test_bad_target_rejected_before_any_pass(self, monkeypatch):
         tables = pair_tables("kmeans", 2, 6, 1.0, [1, 2])
@@ -781,12 +796,17 @@ class TestStackedSetUp:
         assert max(ties) > 1  # tied minima beyond the relabelings the slice removes
         assert calls == ([sum(ties)] if block is None else
                          [min(block, sum(ties) - i) for i in range(0, sum(ties), block)])
-        for cost, tables_ in zip(costs, sets):
-            (alone,) = enumerate_costs(cost)  # a fresh table, its argmin found alone
+        for cost, table2, tables_ in zip(costs, tables[::-1], sets):
+            (alone,) = enumerate_costs(cost)  # a fresh table, its set built alone
+            (one,) = ExactTables.stack([alone], [table2], corrs[:1])
             tied = np.flatnonzero(alone.costs == alone.r_min) * k
             lowest = int(min(orbits(tied[i : i + 8], n, k).min() for i in range(0, tied.size, 8)))
-            assert tables_.table1.argmin_index == alone.argmin_index == lowest
-            assert np.array_equal(tables_.minimizer.labels, alone.minimizer_labels())
+            assert index_of(tables_.minimizer.labels, k) == index_of(one.minimizer.labels, k) \
+                == lowest
+            assert tables_.span == one.span
+        assert ExactTables.stack([], [], []) == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sets[0].span = 0.0
 
     def test_budget_error_before_any_stacked_work(self, monkeypatch):
         def no_work(*args, **kwargs):

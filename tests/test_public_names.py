@@ -1,6 +1,8 @@
-"""Public names: every module's __all__ resolves and is used, the package
-root exports README's quick-start names and no name README does not list,
-and no module reaches into another module's private (_-prefixed) names."""
+"""Public names: every module's __all__ resolves, every public name of src/
+(exported, or a top-level function, method or property) is read in src/
+unless it is a root export README documents, the package root exports
+README's quick-start names and no name README does not list, and no module
+reaches into another module's private (_-prefixed) names."""
 import ast
 import importlib
 import pkgutil
@@ -42,14 +44,38 @@ def names_used_in_src() -> set[str]:
     return used
 
 
+def public_functions(source: Path) -> list[str]:
+    """The public top-level functions of a module and the public methods and
+    properties of its top-level classes, as Class.name."""
+    names = []
+    for stmt in ast.parse(source.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            if isinstance(stmt, ast.FunctionDef):
+                names.append(stmt.name)
+            else:
+                names += [f"{stmt.name}.{node.name}" for node in stmt.body
+                          if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    return names
+
+
+def unused(names) -> list[str]:
+    """The names nothing in src/ reads, less the root exports README
+    documents for users."""
+    used = names_used_in_src()
+    return [name for name in names if name.rsplit(".", 1)[-1] not in used
+            and not (name in ascoding.__all__ and f"`{name}`" in README)]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_public_name_has_a_use(module):
-    # no public helper exists only for its tests: each exported name is used
-    # by the package itself or documented for users in README
-    used = names_used_in_src()
+    # no public helper exists only for its tests
     exported = getattr(importlib.import_module(f"ascoding.{module}"), "__all__", ())
-    unused = [name for name in exported if name not in used and f"`{name}`" not in README]
-    assert not unused, unused
+    assert not unused(exported)
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda p: p.stem)
+def test_every_public_function_and_method_has_a_use(source):
+    assert not unused(public_functions(source))
 
 
 def test_quick_start_names_import_from_package():

@@ -13,8 +13,6 @@ from ascoding.datagen import MixtureSpec, dissimilarity_from_vectors, draw_paire
 from ascoding.exact import (
     decode_indices,
     enumerate_costs,
-    exact_log_partition,
-    exact_moments,
     joint_cost_table,
 )
 from ascoding.rng import derive_rng
@@ -23,6 +21,7 @@ from ascoding.thermo import (
     default_beta_grid,
     thermo_integrate,
 )
+from conftest import log_partition, moments
 
 
 def vecs(*rows):
@@ -37,7 +36,7 @@ def integrate(cost, cfg):
 
 def mean_cost(table, beta):
     """Boltzmann average of the cost at beta."""
-    return table.r_min + exact_moments(table, beta)[1]
+    return table.r_min + moments(table, beta)[1]
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +256,7 @@ class TestThermoIntegration:
     def test_against_exact_oracle(self, instance, km_curve):
         x1, _ = instance
         (table,) = enumerate_costs(KMeansCost(x1, 2))
-        exact = np.array([exact_log_partition(table, b) for b in km_curve.betas])
+        exact = np.array([log_partition(table, b) for b in km_curve.betas])
         assert np.abs(km_curve.log_z - exact).max() <= 0.05 * 8
 
     def test_pairwise_against_exact_oracle(self, instance, cfg_for):
@@ -265,7 +264,7 @@ class TestThermoIntegration:
         cost = PairwiseCost(dissimilarity_from_vectors(x1), 2)
         (table,) = enumerate_costs(cost)
         curve = integrate(cost, cfg_for)
-        exact = np.array([exact_log_partition(table, b) for b in curve.betas])
+        exact = np.array([log_partition(table, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
     def test_constant_zero_cost_flat(self):
@@ -294,8 +293,8 @@ class TestJointIntegration:
         x1, _ = instance
         cost = KMeansCost(x1, 2)
         (table,) = enumerate_costs(cost)
-        curve = integrate(JointCost(cost, cost, Correspondence.identity(8)), cfg_for)
-        exact = np.array([exact_log_partition(table, 2 * b) for b in curve.betas])
+        curve = integrate(JointCost(cost, cost, Correspondence(nu=np.arange(8), n=8)), cfg_for)
+        exact = np.array([log_partition(table, 2 * b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
     def test_beta_zero(self, instance, cfg_for):
@@ -311,7 +310,7 @@ class TestJointIntegration:
         corr = build_correspondence(x1, x2)
         (joint,) = joint_cost_table(*([t] for t in enumerate_costs(c1, c2)), [corr])
         curve = integrate(JointCost(c1, c2, corr), cfg_for)
-        exact = np.array([exact_log_partition(joint, b) for b in curve.betas])
+        exact = np.array([log_partition(joint, b) for b in curve.betas])
         assert np.abs(curve.log_z - exact).max() <= 0.05 * 8
 
 
