@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import CapacityConfig, capacity_curve, optimal_gamma, select_model
-from .comms import error_rate_grid, generate_codebook
+from .comms import DEFAULT_MAX_CODEBOOK, error_rate_grid, generate_codebook
 from .costs import DEFAULT_BUDGET
 from .datagen import (
     MixtureSpec,
@@ -164,6 +164,8 @@ def cmd_simulate(args) -> int:
         rates = _float_list(args.rate_bits)
     else:
         raise ValueError("give --codebook-sizes or --rate-bits")
+    if not rates:
+        raise ValueError("empty codebook list")
     gammas = _float_list(args.gammas)
     if not gammas:
         raise ValueError("empty gamma grid")
@@ -227,15 +229,15 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", default="auto", choices=("exact", "sampled", "auto"))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max k^n for exact enumeration")
-    p.add_argument("--nsigma", default="multinomial", choices=("multinomial", "asymptotic"))
+    p.add_argument("--nsigma", default=CapacityConfig.nsigma, choices=("multinomial", "asymptotic"))
     p.add_argument("--beta-grid", dest="beta_grid", default=None,
                    help="explicit comma list of betas for either engine: finite, strictly "
                    "increasing and starting at 0; any other grid exits 2")
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=25)
-    p.add_argument("--chains", type=int, default=4)
-    p.add_argument("--burnin", type=int, default=100)
-    p.add_argument("--sweeps", type=int, default=400)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--grid-points", type=int, default=CapacityConfig.grid_points)
+    p.add_argument("--chains", type=int, default=CapacityConfig.chains)
+    p.add_argument("--burnin", type=int, default=CapacityConfig.sweeps_burnin)
+    p.add_argument("--sweeps", type=int, default=CapacityConfig.sweeps_measure)
+    p.add_argument("--restarts", type=int, default=CapacityConfig.restarts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-bits", dest="rate_bits", default=None,
                    help="comma list of rates in bits/object")
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--max-codebook", dest="max_codebook", type=int, default=4096)
+    p.add_argument("--max-codebook", dest="max_codebook", type=int, default=DEFAULT_MAX_CODEBOOK)
     p.add_argument("--no-bound", dest="no_bound", action="store_true",
                    help="skip the per-point analytic bound")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

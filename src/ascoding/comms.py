@@ -39,17 +39,17 @@ number of sorted gammas at which it is not a member; the scoring gather
 runs over the training members at the widest gamma, and a pair counts at
 the j-th sorted gamma iff both of its levels are <= j.
 
-Trials run in groups whose training tables hold at most _GROUP entries
-together (at least one trial), and a group is enumerated, joined,
-minimized and decoded as one stack: one enumerate_costs call builds all
-its training and test tables, one gather over the members of all its
-trials scores every (trial, codebook, gamma) cell, and with the bound one
-ExactTables.stack call builds its joint tables with one push-forward
-gather and its training minimizers with one orbit search. The group's
-beta calibrations, one per trial and gamma, advance in lock-step, and its
-points are evaluated together, so each pass over the exact tables serves
-the whole group (see exact.calibrate_betas). Every value is bit for bit
-the one a trial gives alone.
+Trials run in groups, the blocks (exact.blocks) of as many trials as their
+training tables fit in exact's pass limit BLOCK, at least one. A group is
+enumerated, joined, minimized and decoded as one stack: one
+enumerate_costs call builds all its training and test tables, one gather
+over the members of all its trials scores every (trial, codebook, gamma)
+cell, and with the bound one ExactTables.stack call builds its joint
+tables with one push-forward gather and its training minimizers with one
+orbit search. The group's beta calibrations, one per trial and gamma,
+advance in lock-step, and its points are evaluated together, so each pass
+over the exact tables serves the whole group (see exact.calibrate_betas).
+Every value is bit for bit the one a trial gives alone.
 """
 from __future__ import annotations
 
@@ -64,8 +64,10 @@ from .costs import DEFAULT_BUDGET
 from .datagen import MixtureSpec, draw_paired_samples
 from .errors import BudgetError
 from .exact import (
+    BLOCK,
     CostTable,
     ExactTables,
+    blocks,
     calibrate_betas,
     check_gamma,
     decode_indices,
@@ -87,7 +89,6 @@ __all__ = [
 DEFAULT_MAX_CODEBOOK = 4096
 _Z95 = 1.959963984540054
 _GATHER = 1 << 18  # entries of one chunk's k scoring index matrices (2 MiB of int64)
-_GROUP = 1 << 15  # entries of the training tables of one group of trials
 
 
 @dataclass(frozen=True)
@@ -211,9 +212,9 @@ def _overlap_scores(tables1: list[CostTable], tables2: list[CostTable],
     in the approximation set land in the test sample's when pushed forward,
     k per slice member. A pair counts at the j-th sorted gamma iff both of
     its levels are <= j, so one gather at the widest gamma scores every
-    gamma, and the members of all trials are gathered together, in chunks
-    whose k index matrices have at most _GATHER entries; at desk sizes that
-    is one gather."""
+    gamma, and the members of all trials are gathered together, in the
+    blocks (exact.blocks) whose k index matrices have at most _GATHER
+    entries; at desk sizes that is one gather."""
     k, n = tables1[0].k, tables1[0].n
     order = np.argsort(gammas, kind="stable")
     ranked = [gammas[j] for j in order]
@@ -222,10 +223,9 @@ def _overlap_scores(tables1: list[CostTable], tables2: list[CostTable],
     digits = decode_indices(slots * k, n, k) - 1
     member_level = level1[trial, slots]
     trials, codes = codewords[0].shape[:2]
-    step = max(1, _GATHER // (k * codes))
-    counts = sum((_level_counts(digits[i : i + step], trial[i : i + step],
-                                member_level[i : i + step], level2, codewords, k, len(ranked))
-                  for i in range(0, len(slots), step)),
+    counts = sum((_level_counts(digits[part], trial[part], member_level[part], level2,
+                                codewords, k, len(ranked))
+                  for part in blocks(len(slots), k * codes, _GATHER)),
                  np.zeros(trials * codes * (len(ranked) + 1), dtype=np.int64))
     scores = np.empty((trials, codes, len(ranked)), dtype=np.int64)
     scores[:, :, order] = k * np.cumsum(counts.reshape(trials, codes, -1)[:, :, :-1], axis=2)
@@ -326,6 +326,8 @@ def error_rate_grid(
     where the mean excess is 2^-44 (|r_min| + span): not a beta -> inf
     limit, which need not exist.
     """
+    if not codebooks:
+        raise ValueError("empty codebook list")
     for gamma in gammas:
         check_gamma(gamma)
     if trials < 1:
@@ -334,10 +336,9 @@ def error_rate_grid(
         raise ValueError("codebooks and the generator must share n")
     rows = [[[] for _ in gammas] for _ in codebooks]
     infos: list[list[float]] = [[] for _ in gammas]  # per gamma, per trial
-    group = max(1, _GROUP // k ** (spec.n - 1))
     ends = np.cumsum([cb.m for cb in codebooks])[:-1]  # codebook boundaries in a trial's scores
-    for first in range(0, trials, group):
-        ts = range(first, min(first + group, trials))
+    for group in blocks(trials, k ** (spec.n - 1), BLOCK):
+        ts = range(trials)[group]
         samples = [draw_paired_samples(replace(spec, seed=derive_seed(seed, t, 0)))[:2]
                    for t in ts]
         costs = [make_cost(cost_family, x, k) for pair in zip(*samples) for x in pair]

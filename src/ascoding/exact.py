@@ -35,12 +35,16 @@ enumerate_costs builds the tables of several costs from split-half
 statistics stacked over their datasets, joint_cost_table joins many pairs
 with one push-forward gather, and ExactTables.stack builds many pairs' sets
 with one search of the relabeling orbits of their tied training minima.
-Tables of at most _TILE entries share numpy calls; a longer one is built
-alone, tile by tile. Boltzmann sums are taken over stacks of equal-length
-tables, each row at its own beta (stacked_moments, stacked_log_partition):
-tables of at most _BLOCK entries share numpy calls, and every row sums
-exactly what a pass over its table alone sums. calibrate_betas advances
-many beta calibrations in lock-step on such stacks.
+Boltzmann sums are taken over stacks of equal-length tables, each row at
+its own beta (stacked_moments, stacked_log_partition), and calibrate_betas
+advances many beta calibrations in lock-step on such stacks. Every stacked
+loop chunks its work by one rule (blocks): as many whole items of the
+leading axis as fit under the loop's entry limit, at least one; an item
+past the limit is cut by the same rule along its own axes, by a nested
+loop. Each loop keeps its own limit (_TILE to build tables, BLOCK for
+passes and orbit searches), as a block's shape can reach a matrix product,
+whose BLAS blocking could change bits. A row sums its chunks in order,
+exactly what a pass over its table alone sums.
 
 Every reduction over a table uses numpy's own summation, never a BLAS dot,
 so results do not depend on the BLAS thread count.
@@ -58,9 +62,11 @@ from .costs import COST_RESOLUTION, DEFAULT_BUDGET, CostFunction
 from .errors import BudgetError
 
 __all__ = [
+    "BLOCK",
     "CostTable",
     "ExactTables",
     "GAMMA_SLACK",
+    "blocks",
     "calibrate_betas",
     "decode_indices",
     "enumerate_costs",
@@ -71,7 +77,7 @@ __all__ = [
 ]
 
 GAMMA_SLACK = 1e-12  # absolute float slack on the approximation threshold
-_BLOCK = 1 << 15
+BLOCK = 1 << 15  # entries of one block of a stacked pass
 _TILE = 1 << 13  # 64 KiB, below glibc's mmap threshold: tiles reuse heap pages
 
 
@@ -143,7 +149,7 @@ def _minimizers(tables: Sequence[CostTable]) -> np.ndarray:
     """The minimizer of each of a non-empty stack of tables of one n and k,
     as a row of labels: the lowest member of the relabeling orbits of its
     tied minima, from one _lowest_in_orbit pass over the tied minima of all
-    the tables, in chunks of _BLOCK ties. That is the lowest tied index of
+    the tables, in blocks of BLOCK ties. That is the lowest tied index of
     all k^n assignments whenever relabelings cost the same bits (at k <= 2
     the cluster costs add commutatively; at k >= 3 they are summed in label
     order, so relabelings can differ by an ulp)."""
@@ -151,8 +157,8 @@ def _minimizers(tables: Sequence[CostTable]) -> np.ndarray:
     # every tied orbit meets the slice; its lowest member may not
     tied = [np.flatnonzero(t.costs == t.r_min) for t in tables]
     indices = np.concatenate(tied) * k
-    lowest = np.concatenate([_lowest_in_orbit(indices[i : i + _BLOCK], n, k)
-                             for i in range(0, indices.size, _BLOCK)])
+    lowest = np.concatenate([_lowest_in_orbit(indices[part], n, k)
+                             for part in blocks(indices.size, 1, BLOCK)])
     starts = np.cumsum([0] + [ties.size for ties in tied[:-1]])
     return decode_indices(np.minimum.reduceat(lowest, starts), n, k)
 
@@ -165,18 +171,11 @@ def _cost_rows(tables: Sequence[CostTable]) -> np.ndarray:
     return np.stack([t.costs for t in tables])
 
 
-def _blocks(tables: int, rows: int, cols: int):
-    """(tables, hi, lo) slice triples tiling a stack of rows x cols tables in
-    blocks of at most _TILE entries: as many whole tables as fit, or the
-    tiles of one table."""
-    step_t = max(1, _TILE // (rows * cols))
-    step_lo = min(cols, _TILE)
-    step_hi = max(1, _TILE // step_lo)
-    for t0 in range(0, tables, step_t):
-        for h0 in range(0, rows, step_hi):
-            for l0 in range(0, cols, step_lo):
-                yield (slice(t0, min(t0 + step_t, tables)), slice(h0, min(h0 + step_hi, rows)),
-                       slice(l0, min(l0 + step_lo, cols)))
+def blocks(count: int, size: int, limit: int) -> list[slice]:
+    """The one chunking rule of stacked work: slices of range(count), in order,
+    of as many items of `size` entries as fit in `limit` entries, at least one."""
+    step = max(1, limit // size)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _low_half(n: int) -> int:
@@ -208,8 +207,11 @@ def enumerate_costs(*costs: CostFunction, budget: int = DEFAULT_BUDGET) -> list[
         stack = [costs[i] for i in members]
         halves = stack[0]._halves(stack, lo_masks, hi_masks)
         out = np.empty((len(stack), hi_masks.shape[1], lo_masks.shape[1]))
-        for rows, hi, lo in _blocks(*out.shape):
-            out[rows, hi, lo] = halves.block(rows, lo, hi)
+        _, his, los = out.shape
+        for rows in blocks(len(stack), his * los, _TILE):
+            for hi in blocks(his, los, _TILE):
+                for lo in blocks(los, 1, _TILE):
+                    out[rows, hi, lo] = halves.block(rows, lo, hi)
         for i, row in zip(members, out):
             tables[i] = CostTable.from_costs(row.ravel(), n, k)
     return [tables[i] for i in range(len(costs))]
@@ -293,44 +295,36 @@ def _boltzmann_sums(costs: np.ndarray, r_min: np.ndarray, rows: np.ndarray, beta
     in excess form, minima contribute x = 0 exactly. Every beta is checked
     before any pass.
 
-    Tables of at most _BLOCK entries are evaluated _BLOCK // N rows per numpy
-    call; a longer table one row at a time, over chunks of _BLOCK entries.
-    Buffers are reused and never exceed _BLOCK entries: fresh table-sized
-    temporaries cost more than the arithmetic. A row sums exactly the chunks
-    a one-table pass sums, so its sums do not depend on the rows beside it."""
+    Rows are taken in blocks (limit BLOCK) of as many whole rows as fit, or
+    one row in chunks of BLOCK entries, each chunk's sums added to its rows'
+    totals in order (a first chunk adds to 0.0, which is exact). Buffers never
+    exceed BLOCK entries: fresh table-sized temporaries cost more than the
+    arithmetic. A row sums exactly the chunks a one-table pass sums, so its
+    sums do not depend on the rows beside it."""
     if beta.shape != rows.shape:
         raise ValueError(f"{beta.size} betas for {rows.size} tables")
     if not (np.isfinite(beta).all() and (beta >= 0).all()):
         raise ValueError("beta must be finite and >= 0")
     size = costs.shape[1]
     sums = np.zeros((order + 1, rows.size))
-    if size > _BLOCK:
-        x_buf, w_buf = np.empty(_BLOCK), np.empty(_BLOCK)
-        for i in range(rows.size):
-            for start in range(0, size, _BLOCK):
-                chunk = costs[rows[i], start : start + _BLOCK]
-                x, w = x_buf[: chunk.size], w_buf[: chunk.size]
-                np.subtract(chunk, r_min[i], out=x)
-                np.multiply(x, -beta[i], out=w)
-                np.exp(w, out=w)
-                sums[0, i] += w.sum()
-                for j in range(1, order + 1):
-                    sums[j, i] += np.multiply(w, x, out=w).sum()
-        return sums
-    step = _BLOCK // size
-    entries = min(rows.size, step) * size
-    x_buf, w_buf = np.empty(entries), np.empty(entries)
-    for first in range(0, rows.size, step):
-        part = slice(first, first + step)
-        x = x_buf[: rows[part].size * size].reshape(-1, size)
-        w = w_buf[: x.size].reshape(x.shape)
-        np.take(costs, rows[part], axis=0, out=x, mode="clip")  # "raise" would buffer
-        x -= r_min[part, None]
-        np.multiply(x, -beta[part, None], out=w)
-        np.exp(w, out=w)
-        sums[0, part] = w.sum(axis=1)
-        for j in range(1, order + 1):
-            sums[j, part] = np.multiply(w, x, out=w).sum(axis=1)
+    x_buf = np.empty((min(rows.size, max(1, BLOCK // size)), min(size, BLOCK)))  # a block's
+    w_buf = np.empty_like(x_buf)  # apart from x_buf: one buffer twice the size raises peak RSS
+    chunks = blocks(size, 1, BLOCK)
+    for part in blocks(rows.size, size, BLOCK):
+        picked, r, scale = rows[part], r_min[part, None], -beta[part, None]
+        part_sums = [0.0] * (order + 1)
+        for cols in chunks:
+            x = x_buf[: picked.size, : cols.stop - cols.start]
+            w = w_buf[: picked.size, : cols.stop - cols.start]
+            costs_x = (costs[picked[0], None, cols] if picked.size == 1  # one row, in place
+                       else np.take(costs, picked, axis=0, out=x, mode="clip"))  # "raise" buffers
+            np.subtract(costs_x, r, out=x)
+            np.multiply(x, scale, out=w)
+            np.exp(w, out=w)
+            part_sums[0] = part_sums[0] + w.sum(axis=1)
+            for j in range(1, order + 1):
+                part_sums[j] = part_sums[j] + np.multiply(w, x, out=w).sum(axis=1)
+        sums[:, part] = part_sums
     return sums
 
 
@@ -395,8 +389,11 @@ def joint_cost_table(tables1: Sequence[CostTable], tables2: Sequence[CostTable],
     costs1 = _cost_rows(tables1).reshape(len(tables1), k ** (n - _low_half(n)), -1)
     costs2 = _cost_rows(tables2).ravel()
     out = np.empty(costs1.shape)
-    for t, hi, lo in _blocks(*out.shape):
-        out[t, hi, lo] = costs1[t, hi, lo] + costs2.take(index(t, hi, lo))
+    tables, his, los = out.shape
+    for t in blocks(tables, his * los, _TILE):
+        for hi in blocks(his, los, _TILE):
+            for lo in blocks(los, 1, _TILE):
+                out[t, hi, lo] = costs1[t, hi, lo] + costs2.take(index(t, hi, lo))
     return [CostTable.from_costs(row.ravel(), n, k) for row in out]
 
 
@@ -427,8 +424,7 @@ class ExactTables:
         joints = joint_cost_table(tables1, tables2, corrs)
         if not joints:
             return []
-        costs, r_min, rows = _stacked(tables1)
-        spans, _ = _excess_moments(*_boltzmann_sums(costs, r_min, rows, np.zeros(rows.size), 2))
+        spans = stacked_moments(tables1, np.zeros(len(tables1)))[1]
         return [cls(t1, t2, joint, Assignment(labels, t1.k), span)
                 for t1, t2, joint, labels, span in zip(tables1, tables2, joints,
                                                       _minimizers(tables1), spans.tolist())]

@@ -404,6 +404,15 @@ class TestErrorPaths:
         assert rc == code and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--codebook-sizes", "--rate-bits"])
+    def test_empty_codebook_list_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "sim"
+        rc = run("simulate", "--n", 6, "--k-true", 2, "--cost", "kmeans", "--k", 2,
+                 "--gammas", "0,1", flag, ",", "--trials", 2, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == "error: empty codebook list\n"
+
     def test_missing_outdir_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
         rc = run("gen", "--n", 6, "--k-true", 2, "--sep", 6, "--sigma", 0.5, "--seed", 1)

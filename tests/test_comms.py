@@ -406,8 +406,8 @@ class TestErrorRateGrid:
         codebooks = [generate_codebook(6, math.log2(m) / 6, seed=2) for m in (2, 4)]
         args = (codebooks, spec, family, k, (0.0, 0.5, 2.0, math.inf))
         grouped = error_rate_grid(*args, trials=12, seed=4, compute_bound=True)
-        assert comms._GROUP // k**5 >= 12
-        monkeypatch.setattr(comms, "_GROUP", trials_per_group * k**5)
+        assert comms.BLOCK // k**5 >= 12
+        monkeypatch.setattr(comms, "BLOCK", trials_per_group * k**5)
         assert error_rate_grid(*args, trials=12, seed=4, compute_bound=True) == grouped
 
     def test_bound_passes_are_stacked(self, monkeypatch):
@@ -464,7 +464,7 @@ class TestErrorRateGrid:
         counted(comms, "derive_rng", "generators")
         counted(ex, "joint_cost_table", "joint")
         counted(ex, "_lowest_in_orbit", "orbits")
-        assert comms._GROUP // 2**7 >= 40
+        assert comms.BLOCK // 2**7 >= 40
         error_rate_grid(codebooks, spec, "kmeans", 2, [0.0, 1.0, 2.0, 5.0, 10.0], trials=40,
                         seed=0, compute_bound=compute_bound)
         assert counts == {"enumerate": 1, "tables": 2 * 40, "gather": 1, "generators": 40,
@@ -493,6 +493,16 @@ class TestErrorRateGrid:
         with pytest.raises(ValueError):
             error_rate_grid([cb], spec, "kmeans", 2, gammas, trials=trials, seed=0,
                             compute_bound=True)
+
+    def test_empty_codebook_list_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(spec):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(comms, "draw_paired_samples", no_draw)
+        spec = MixtureSpec(n=6, d=2, k_true=2, noise_sigma=1.0, separation=6.0,
+                           seed=3, balanced=True)
+        with pytest.raises(ValueError, match="empty codebook list"):
+            error_rate_grid([], spec, "kmeans", 2, [0.0], trials=3, seed=0)
 
     def test_nan_gamma_rejected_per_use(self, blob_pair):
         x1, x2 = blob_pair

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ascoding.capacity import exact_points
 from ascoding.core import (
@@ -418,7 +418,7 @@ class TestSplitHalfAgainstReference:
         # halves wider than one block exercise the tiling along both axes
         import ascoding.exact as ex
 
-        monkeypatch.setattr(ex, "_BLOCK", 8)
+        monkeypatch.setattr(ex, "BLOCK", 8)
         monkeypatch.setattr(ex, "_TILE", 8)
         x1, x2, _ = draw_paired_samples(MixtureSpec(n=9, d=2, k_true=2, noise_sigma=1.0,
                                                     separation=3.0, seed=5))
@@ -512,10 +512,10 @@ class TestCanonicalSliceAgainstFull:
 
 def one_table_sums(table, beta, order):
     """[sum_c w(c) x(c)^j for j = 0..order] by one table's loop: 1-D chunks
-    of _BLOCK entries, each chunk's sums added to a running total."""
+    of BLOCK entries, each chunk's sums added to a running total."""
     sums = [0.0] * (order + 1)
-    for start in range(0, table.costs.size, ex._BLOCK):
-        x = table.costs[start : start + ex._BLOCK] - table.r_min
+    for start in range(0, table.costs.size, ex.BLOCK):
+        x = table.costs[start : start + ex.BLOCK] - table.r_min
         w = np.exp(x * -beta)
         sums[0] += w.sum()
         for j in range(1, order + 1):
@@ -591,21 +591,62 @@ def pair_tables(family, k, n, sigma, seeds, sep=6.0, k_true=2, d=2):
     return out
 
 
+def nested_blocks(shape, limit):
+    """Slice tuples tiling an array of `shape`, as the stacked loops nest
+    blocks(): the leading axis by blocks of whole items, and within each
+    block the remaining axes the same way."""
+    if not shape:
+        return [()]
+    return [(lead, *rest) for lead in ex.blocks(shape[0], math.prod(shape[1:]), limit)
+            for rest in nested_blocks(shape[1:], limit)]
+
+
+class TestBlocks:
+    @given(st.integers(0, 40), st.integers(1, 40), st.integers(1, 40))
+    @example(count=5, size=8, limit=8)  # an item is exactly the limit
+    @example(count=5, size=9, limit=8)  # the limit + 1
+    @example(count=5, size=30, limit=8)  # far past the limit
+    @example(count=0, size=3, limit=8)  # no items
+    def test_blocks_take_whole_items_that_fit(self, count, size, limit):
+        parts = ex.blocks(count, size, limit)
+        assert [i for part in parts for i in range(count)[part]] == list(range(count))
+        step = max(1, limit // size)  # as many as fit, at least one
+        assert all(part.stop - part.start == step for part in parts[:-1])
+        assert all((part.stop - part.start) * size <= limit or part.stop - part.start == 1
+                   for part in parts)
+
+    @given(st.integers(0, 9), st.lists(st.integers(1, 9), max_size=3).map(tuple),
+           st.integers(1, 200))
+    @example(lead=4, inner=(2, 4), limit=8)  # a table is exactly the limit
+    @example(lead=4, inner=(3, 3), limit=8)  # the limit + 1: the rows of one table
+    @example(lead=3, inner=(5, 9), limit=8)  # a row past the limit: chunks of a row
+    @example(lead=20, inner=(), limit=8)  # a 1-D shape
+    @example(lead=0, inner=(3, 4), limit=8)  # a zero-length leading axis
+    def test_nested_blocks_cover_every_entry_once_in_order(self, lead, inner, limit):
+        entries = np.arange(lead * math.prod(inner)).reshape(lead, *inner)
+        tiles = [entries[tile] for tile in nested_blocks(entries.shape, limit)]
+        assert [i for t in tiles for i in t.ravel().tolist()] == list(range(entries.size))
+        assert all(t.size <= limit for t in tiles)
+
+
 class TestStackedPasses:
     @pytest.mark.parametrize("n, k, block", [
         (1, 2, None), (3, 2, None), (8, 2, None), (6, 3, None), (3, 4, None),
         (14, 2, None), (16, 2, None),  # 4 rows and 1 row per call
         (8, 2, 48), (6, 2, 48),  # rows longer than a block; a part-filled last group
+        (8, 2, 128), (8, 2, 127),  # a row exactly one block; one block plus one entry
     ])
     def test_rows_equal_one_table_passes(self, monkeypatch, n, k, block):
         if block is not None:
-            monkeypatch.setattr(ex, "_BLOCK", block)
+            monkeypatch.setattr(ex, "BLOCK", block)
         rng = np.random.default_rng(n * 10 + k)
         tables = random_tables(rng, n, k, 3)
         tables[1] = CostTable.from_costs(np.full(k ** (n - 1), 2.5), n, k)  # flat
+        twin = CostTable.from_costs(tables[2].costs.copy(), n, k)
         betas = [0.0, 1e-3, 0.4, 3.0, 1e3]
-        stack = [t for t in tables for _ in betas] + tables[:1]
-        beta_of = betas * len(tables) + [0.7]
+        # a table next to its own repeat, as the same row and as an equal one
+        stack = [t for t in tables for _ in betas] + tables[:1] + [tables[2], tables[2], twin]
+        beta_of = betas * len(tables) + [0.7, 0.4, 0.4, 0.4]
         log_z, excess, var = stacked_moments(stack, beta_of)
         log_z0 = stacked_log_partition(stack, beta_of)
         for i, (t, beta) in enumerate(zip(stack, beta_of)):
@@ -779,7 +820,7 @@ class TestStackedSetUp:
     @pytest.mark.parametrize("block", [None, 8])  # the group's ties in several chunks
     def test_minimizers_equal_each_table_alone(self, monkeypatch, family, k, n, block):
         if block is not None:
-            monkeypatch.setattr(ex, "_BLOCK", block)
+            monkeypatch.setattr(ex, "BLOCK", block)
         costs = tie_stack(family, k, n)
         calls = []
         orbits = ex._lowest_in_orbit
