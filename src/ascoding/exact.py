@@ -307,8 +307,8 @@ def _boltzmann_sums(costs: np.ndarray, r_min: np.ndarray, rows: np.ndarray, beta
         raise ValueError("beta must be finite and >= 0")
     size = costs.shape[1]
     sums = np.zeros((order + 1, rows.size))
-    x_buf = np.empty((min(rows.size, max(1, BLOCK // size)), min(size, BLOCK)))  # a block's
-    w_buf = np.empty_like(x_buf)  # apart from x_buf: one buffer twice the size raises peak RSS
+    x_buf = np.empty((min(rows.size, max(1, BLOCK // size)), min(size, BLOCK)))  # largest block
+    w_buf = np.empty_like(x_buf)  # a second buffer: one of twice the size raises peak RSS
     chunks = blocks(size, 1, BLOCK)
     for part in blocks(rows.size, size, BLOCK):
         picked, r, scale = rows[part], r_min[part, None], -beta[part, None]
